@@ -179,7 +179,9 @@ class Coordinator:
         mask_count = sparsify.generate_mask(seed, self.compression.c, self.n_dims).count
         frame_bytes = sparsify.payload_frame_bytes(mask_count)
         speeds = [self.b.speeds[i, j] for i, j in matching.pairs]
-        self._wtw_sum += gossip.weights.T @ gossip.weights
+        # a matching's W is symmetric and idempotent with entries 0, 1/2 and 1,
+        # so W^T W is W exactly, bit for bit
+        self._wtw_sum += gossip.weights
         return RoundPlan(
             t=self.t,
             seed=seed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,9 +44,19 @@ class Graph:
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, AdjacencyMatrix.from_pairs(n, pairs))
 
-    def neighbor_lists(self) -> list[list[int]]:
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
         e = self.adjacency.edges
-        return [np.nonzero(e[v])[0].tolist() for v in range(self.n)]
+        flat = np.nonzero(e)[1].tolist()
+        out, start = [], 0
+        for deg in e.sum(axis=1).tolist():
+            out.append(tuple(flat[start:start + deg]))
+            start += deg
+        return tuple(out)
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """Fresh, mutable neighbour lists in ascending order (built once per graph)."""
+        return [list(nbrs) for nbrs in self._neighbors]
 
 
 def _augmenting_pass(n: int, adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
@@ -126,13 +137,44 @@ def _max_matching_order(g: Graph, order: Sequence[int], adj: Sequence[Sequence[i
     for v in order:
         if match[v] == -1:
             _augmenting_pass(n, adj, match, v)
-    pairs = {(min(v, match[v]), max(v, match[v])) for v in range(n) if match[v] != -1}
-    return Matching.from_pairs(n, pairs)
+    # via a set and from_pairs, as ever: callers sum floats in pair iteration order
+    return Matching.from_pairs(n, {(v, u) for v, u in enumerate(match) if u > v})
 
 
 def max_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching (deterministic processing order)."""
     return _max_matching_order(g, range(g.n), g.neighbor_lists())
+
+
+@lru_cache(maxsize=8)
+def _shuffle_swaps(longest: int) -> tuple[tuple[int, int, int], ...]:
+    """(i, i + 1, bit length of i + 1) for i = longest-1 .. 1: the swaps that
+    `random.Random.shuffle` makes on a list of length `longest`, in its order.
+    A list of length L makes the last L - 1 of them."""
+    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(longest - 1, 0, -1))
+
+
+def shuffle_lists(lists: Sequence[list], rng: random.Random) -> None:
+    """Shuffle each list in place, in turn, exactly as `rng.shuffle` would.
+
+    For a plain `random.Random` the loop makes the same `getrandbits(k)`
+    calls, with the same rejections, in the same order as `shuffle` and its
+    `_randbelow`, and so makes the same swaps and leaves the same state; it
+    only skips their per-call overhead.  Other generators use `rng.shuffle`.
+    """
+    if type(rng) is not random.Random:
+        for x in lists:
+            rng.shuffle(x)
+        return
+    longest = max(map(len, lists), default=0)
+    swaps = _shuffle_swaps(longest)
+    getrandbits = rng.getrandbits
+    for x in lists:
+        for i, bound, k in swaps[longest - len(x):]:
+            j = getrandbits(k)
+            while j >= bound:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
 
 
 def randomly_max_match(g: Graph, rng: random.Random) -> Matching:
@@ -142,10 +184,8 @@ def randomly_max_match(g: Graph, rng: random.Random) -> Matching:
     any maximum matching reachable under some order has positive probability.
     """
     order = list(range(g.n))
-    rng.shuffle(order)
     adj = g.neighbor_lists()
-    for lst in adj:
-        rng.shuffle(lst)
+    shuffle_lists([order, *adj], rng)
     return _max_matching_order(g, order, adj)
 
 
@@ -175,9 +215,22 @@ def rc_edges(r: TimestampMatrix, t_thres: int, t: int) -> np.ndarray:
 
 
 def if_connected(r: TimestampMatrix, t_thres: int, t: int) -> bool:
-    """Whether the recently-connected graph spans all workers."""
-    q = rc_edges(r, t_thres, t)
-    return bool(len(np.unique(_components(r.n, q))) == 1)
+    """Whether the recently-connected graph spans all workers.
+
+    Breadth first from worker 0, one whole layer per numpy step; the
+    diagonal is left in, since a self-loop changes no worker's reach.
+    """
+    q = r.last_round > (t - t_thres)
+    seen = q[0].copy()
+    seen[0] = True
+    count = int(np.count_nonzero(seen))
+    while count < r.n:
+        seen |= q[seen].any(axis=0)
+        grown = int(np.count_nonzero(seen))
+        if grown == count:
+            return False
+        count = grown
+    return True
 
 
 def get_over_time_matrix(
@@ -196,6 +249,29 @@ def get_unmatch(b: BandwidthMatrix, m: Matching) -> AdjacencyMatrix:
     e = (b.speeds > 0) & free[:, None] & free[None, :]
     np.fill_diagonal(e, False)
     return AdjacencyMatrix(e)
+
+
+def _select(
+    b: BandwidthMatrix,
+    b_star: Graph,
+    r: TimestampMatrix,
+    t_thres: int,
+    t: int,
+    rng: random.Random,
+) -> Matching:
+    """The matching of one round of peer selection (see generate_gossip_matrix)."""
+    n = b_star.n
+    if if_connected(r, t_thres, t):
+        candidates = b_star
+    else:
+        candidates = Graph(n, get_over_time_matrix(r, b.positive_edges(), t_thres, t))
+
+    match = randomly_max_match(candidates, rng)
+    if len(match) < n // 2:
+        fallback = get_unmatch(b, match)
+        extra = randomly_max_match(Graph(n, fallback), rng)
+        match = Matching.from_pairs(n, match.pairs | extra.pairs)
+    return match
 
 
 def generate_gossip_matrix(
@@ -219,23 +295,19 @@ def generate_gossip_matrix(
         raise ValidationError(f"need at least 2 workers, got {n}")
     if b.n != n or b_star.n != n or r.n != n:
         raise ValidationError("matrix sizes do not match n")
-
-    if if_connected(r, t_thres, t):
-        candidates = b_star
-    else:
-        candidates = get_over_time_matrix(r, b.positive_edges(), t_thres, t)
-
-    match = randomly_max_match(Graph(n, candidates), rng)
-    if len(match) < n // 2:
-        fallback = get_unmatch(b, match)
-        extra = randomly_max_match(Graph(n, fallback), rng)
-        match = Matching.from_pairs(n, match.pairs | extra.pairs)
-
+    match = _select(b, Graph(n, b_star), r, t_thres, t, rng)
     return GossipMatrix.from_matching(match), match
 
 
 class AdaptiveSelector:
-    """Stateful wrapper around generate_gossip_matrix; owns R and the round clock."""
+    """Stateful generate_gossip_matrix; owns R and the round clock.
+
+    B*'s neighbour lists are built once.  R is a private int64 array updated
+    in place; `_r_view` is a read-only TimestampMatrix over it, validated
+    once, which the connectivity and bridging steps read.  `b` may be
+    replaced between rounds (the coordinator does so after a bandwidth
+    report); B* is fixed.
+    """
 
     def __init__(
         self,
@@ -246,11 +318,16 @@ class AdaptiveSelector:
     ) -> None:
         if t_thres < 1:
             raise ValidationError(f"t_thres must be >= 1, got {t_thres}")
+        if b.n < 2:
+            raise ValidationError(f"need at least 2 workers, got {b.n}")
+        if b_star.n != b.n:
+            raise ValidationError("matrix sizes do not match n")
         self.b = b
-        self.b_star = b_star
+        self._b_star = Graph(b.n, b_star)
         self.t_thres = t_thres
         self.rng = rng
-        self.r = TimestampMatrix.initial(b.n, t_thres)
+        self._r = TimestampMatrix.initial(b.n, t_thres).last_round.copy()
+        self._r_view = TimestampMatrix(self._r.view())
         self.t = 0
 
     @property
@@ -258,16 +335,26 @@ class AdaptiveSelector:
         return self.b.n
 
     @property
+    def b_star(self) -> AdjacencyMatrix:
+        return self._b_star.adjacency
+
+    @property
+    def r(self) -> TimestampMatrix:
+        """A snapshot of R; later rounds do not change it."""
+        return TimestampMatrix(self._r.copy())
+
+    @property
     def suggested_warmup(self) -> int:
         return 10 * self.t_thres
 
     def next_round(self) -> tuple[GossipMatrix, Matching]:
-        w, m = generate_gossip_matrix(
-            self.b, self.b_star, self.r, self.t_thres, self.n, self.t, self.rng
-        )
-        self.r = self.r.with_pairs(m.pairs, self.t)
-        self.t += 1
-        return w, m
+        t = self.t
+        match = _select(self.b, self._b_star, self._r_view, self.t_thres, t, self.rng)
+        r = self._r
+        for i, j in match.pairs:
+            r[i, j] = r[j, i] = t
+        self.t = t + 1
+        return GossipMatrix.from_matching(match), match
 
 
 class RandomSelector:

@@ -63,7 +63,8 @@ class LogisticObjective:
         z = X @ w
         # log(1 + exp(-y*z)) with labels in {0,1}: stable via logaddexp
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * self.reg * float(w @ w)
-        p = 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):  # exp(-z) = inf for z < -709 gives p = 0.0
+            p = 1.0 / (1.0 + np.exp(-z))
         grad = X.T @ (p - y) / X.shape[0] + self.reg * w
         return loss, grad
 
@@ -102,7 +103,8 @@ class MlpObjective:
         z = a @ w2 + b2
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
         m = X.shape[0]
-        dz = (1.0 / (1.0 + np.exp(-z)) - y) / m
+        with np.errstate(over="ignore"):  # exp(-z) = inf for z < -709 gives 0.0
+            dz = (1.0 / (1.0 + np.exp(-z)) - y) / m
         gw2 = a.T @ dz
         gb2 = float(dz.sum())
         da = np.outer(dz, w2) * (1.0 - a * a)

@@ -9,11 +9,11 @@ Both fabrics expose the same coordinator-side surface:
     shutdown()
 
 The simulated fabric executes workers inline in rank order, moves real
-encoded frames between them, counts their bytes, and advances a virtual
-clock by transfer size / link bandwidth.  The TCP fabric runs each worker
-loop in a thread against real sockets on loopback; model values are
-bit-identical to the simulation because worker arithmetic depends only on
-seeds and payloads, never on timing.
+encoded frames between them and counts their bytes; the virtual round time
+is the coordinator's (`round_time`, summed into `Coordinator.cum_time`).
+The TCP fabric runs each worker loop in a thread against real sockets on
+loopback; model values are bit-identical to the simulation because worker
+arithmetic depends only on seeds and payloads, never on timing.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class SimFabric:
         self._inbox: deque[tuple[int, int, bytes]] = deque()
         self.payload_bytes_per_worker = np.zeros(len(workers))
         self.values_per_worker = np.zeros(len(workers), dtype=np.int64)
-        self.virtual_clock = 0.0
 
     def send_to_worker(self, wid: int, frame: bytes) -> None:
         msg_type, body = wire.parse_frame(frame)
@@ -87,7 +86,6 @@ class SimFabric:
         payloads: dict[int, bytes | None] = {}
         for w in self.workers:  # rank order keeps the simulation reproducible
             payloads[w.rank] = w.begin_round(starts[w.rank])
-        slowest = 0.0
         for w in self.workers:
             peer = starts[w.rank].peer_id
             if peer is None:
@@ -100,11 +98,9 @@ class SimFabric:
                 raise ConfigurationError(
                     f"pair ({w.rank},{peer}) was matched but has zero bandwidth"
                 )
-            slowest = max(slowest, len(frame) / speed)
             self.payload_bytes_per_worker[w.rank] += len(frame)  # received
             self.payload_bytes_per_worker[peer] += len(frame)  # sent
             self.values_per_worker[w.rank] += sparsify.decode_payload(frame).count * 2
-        self.virtual_clock += slowest
         for w in self.workers:
             peer = starts[w.rank].peer_id
             ack = w.finish_round(payloads[peer] if peer is not None else None)
@@ -137,14 +133,27 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return buf
 
 
-def read_frame(sock: socket.socket) -> bytes | None:
-    """Read one full frame; None on a clean EOF at a frame boundary."""
-    first = sock.recv(1)
-    if not first:
-        return None
-    head = first + _recv_exact(sock, wire.HEADER_LEN - 1)
-    (payload_len,) = struct.unpack_from("<I", head, 6)
-    return head + _recv_exact(sock, payload_len)
+def read_frame(sock: socket.socket, max_payload_len: int) -> bytes | None:
+    """Read one full frame; None on a clean EOF at a frame boundary.
+
+    A header declaring more than `max_payload_len` bytes (see
+    `wire.max_payload_len`) is a ProtocolError before any body is read; a
+    socket timeout is a TransportError.
+    """
+    try:
+        first = sock.recv(1)
+        if not first:
+            return None
+        head = first + _recv_exact(sock, wire.HEADER_LEN - 1)
+        (payload_len,) = struct.unpack_from("<I", head, 6)
+        if payload_len > max_payload_len:
+            raise ProtocolError(
+                f"frame declares {payload_len} payload bytes; no legal frame exceeds "
+                f"{max_payload_len}"
+            )
+        return head + _recv_exact(sock, payload_len)
+    except TimeoutError as e:
+        raise TransportError(f"timed out reading a frame: {e}") from e
 
 
 def send_frame(sock: socket.socket, frame: bytes) -> None:
@@ -163,11 +172,12 @@ def _worker_loop(
     timeout: float,
 ) -> None:
     try:
+        limit = wire.max_payload_len(worker.n_dims)
         coord = socket.create_connection(coord_addr, timeout=timeout)
         coord.settimeout(timeout)
         try:
             while True:
-                frame = read_frame(coord)
+                frame = read_frame(coord, limit)
                 if frame is None:
                     return
                 msg_type, body = wire.parse_frame(frame)
@@ -178,7 +188,7 @@ def _worker_loop(
                     if msg.peer_id is not None:
                         assert out is not None
                         peer_frame = _exchange_tcp(
-                            worker.rank, msg.peer_id, out, listener, peer_addrs, timeout
+                            worker.rank, msg.peer_id, out, listener, peer_addrs, timeout, limit
                         )
                     ack = worker.finish_round(peer_frame)
                     for report in worker.drain_report_frames():
@@ -203,6 +213,7 @@ def _exchange_tcp(
     listener: socket.socket,
     peer_addrs: dict[int, tuple[str, int]],
     timeout: float,
+    limit: int,
 ) -> bytes:
     """Full-duplex payload swap; the lower rank dials, the dialer writes first."""
     if rank < peer:
@@ -210,14 +221,14 @@ def _exchange_tcp(
         conn.settimeout(timeout)
         try:
             send_frame(conn, out)
-            frame = read_frame(conn)
+            frame = read_frame(conn, limit)
         finally:
             conn.close()
     else:
         conn, _ = listener.accept()
         conn.settimeout(timeout)
         try:
-            frame = read_frame(conn)
+            frame = read_frame(conn, limit)
             send_frame(conn, out)
         finally:
             conn.close()
@@ -241,6 +252,7 @@ class TcpFabric:
         self.workers = workers
         self.b = b
         self.timeout = timeout
+        self._max_payload_len = wire.max_payload_len(max(w.n_dims for w in workers))
         self._failures: list[BaseException] = []
         self._queue: queue.Queue[tuple[int, int, bytes]] = queue.Queue()
         self._model_replies: queue.Queue[tuple[int, int, bytes]] = queue.Queue()
@@ -291,7 +303,7 @@ class TcpFabric:
     def _reader(self, wid: int) -> None:
         try:
             while True:
-                frame = read_frame(self._conns[wid])
+                frame = read_frame(self._conns[wid], self._max_payload_len)
                 if frame is None:
                     return
                 msg_type, body = wire.parse_frame(frame)

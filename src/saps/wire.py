@@ -53,6 +53,18 @@ _MODEL_VALUES_HEAD = struct.Struct("<QII")
 _BW_ENTRY = struct.Struct("<Id")
 
 
+def max_payload_len(n_dims: int) -> int:
+    """Largest payload_len of any legal frame for models of n_dims values.
+
+    That is a dense MODEL_VALUES (c = 1), which is 12 bytes longer than a
+    MODEL_FULL of the same model, or a BANDWIDTH_REPORT with as many entries
+    as its u16 count allows, whichever is longer; plus the crc32.
+    """
+    dense = _MODEL_VALUES_HEAD.size + 8 * n_dims
+    report = 2 + _BW_ENTRY.size * 0xFFFF
+    return max(dense, report) + 4
+
+
 def pack_frame(msg_type: int, body: bytes) -> bytes:
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return _HEADER.pack(MAGIC, VERSION, msg_type, len(body) + 4) + body + struct.pack("<I", crc)

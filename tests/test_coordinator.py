@@ -9,7 +9,7 @@ from saps.coordinator import (
     comm_cost,
     get_new_connected_graph,
 )
-from saps.core import symmetrize_bandwidth
+from saps.core import GossipMatrix, symmetrize_bandwidth
 from saps.errors import ProtocolError, ValidationError
 from saps.objectives import QuadraticObjective, make_quadratic
 from saps.transport import SimFabric
@@ -129,6 +129,21 @@ class TestRunRound:
             e.matching.pairs for e in coord_b.round_log
         ]
         assert [e.seed for e in coord_a.round_log] == [e.seed for e in coord_b.round_log]
+
+    @pytest.mark.parametrize("mode,n", [("adaptive", 5), ("adaptive", 8), ("random", 7), ("ring", 6)])
+    def test_mean_wtw_equals_dense_formula_exactly(self, mode, n):
+        objset = make_quadratic(n, 8, np.random.default_rng(3))
+        workers = [Worker(i, objset.initial_models[i], objset.objectives[i], 0.05, 2, sample_seed=i)
+                   for i in range(n)]
+        b = uniform_bandwidth(n, 4)
+        coord = Coordinator(b, float(np.median(b.speeds[b.speeds > 0])), 2, 9, 2, 8, mode)
+        fabric = SimFabric(workers, b)
+        dense = np.zeros((n, n))
+        for _ in range(50):
+            coord.run_round(fabric)
+            w = GossipMatrix.from_matching(coord.round_log[-1].matching).weights
+            dense += w.T @ w
+        assert np.array_equal(coord.mean_wtw(), dense / 50)
 
     def test_round_record_byte_accounting_matches_fabric(self):
         _, coord, fabric = build(n=4, c=2)

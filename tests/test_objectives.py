@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from saps.errors import ValidationError
 from saps.objectives import (
     DataShard,
+    LogisticObjective,
     MlpObjective,
     QuadraticObjective,
     finite_difference_gradient,
@@ -113,6 +116,32 @@ class TestMlp:
     def test_parameter_count(self):
         objset = make_mlp(2, 20, 5, 7, "iid", np.random.default_rng(8))
         assert objset.dim == 5 * 7 + 7 + 7 + 1
+
+
+class TestSigmoidSaturation:
+    """Far on the negative side exp(-z) overflows to inf and p is exactly 0."""
+
+    def test_logistic_closed_form_gradient_without_warning(self):
+        shard = DataShard(np.array([[1.0]]), np.array([1.0]), "iid")
+        o = LogisticObjective(shard, batch_size=1)
+        w = np.array([-800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = o.loss_and_grad(w, np.random.default_rng(0))
+        # z = -800, p = 0: loss = log(1 + e^800) - z, grad = x (p - y) + reg w
+        assert loss == 800.0 + 0.5 * o.reg * 640_000.0
+        assert grad.tolist() == [-1.0 + o.reg * -800.0]
+
+    def test_mlp_saturated_output_without_warning(self):
+        shard = DataShard(np.array([[1.0]]), np.array([0.0]), "iid")
+        o = MlpObjective(shard, hidden=1, batch_size=1)
+        theta = np.zeros(o.dim)
+        theta[-1] = -800.0  # b2: z = -800 whatever the hidden layer does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = o.loss_and_grad(theta, np.random.default_rng(0))
+        assert loss == 0.0
+        assert not grad.any()
 
 
 class TestMatrixFile:

@@ -1,13 +1,15 @@
 import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from saps import wire
+from saps import sparsify, wire
 from saps.cli import ExperimentConfig, run_experiment
 from saps.core import Matching, symmetrize_bandwidth
-from saps.errors import ConfigurationError
+from saps.errors import ConfigurationError, ProtocolError, TransportError
 from saps.transport import TcpFabric, read_frame, round_time, send_frame
 
 
@@ -67,7 +69,7 @@ class TestTcpFraming:
         def serve():
             conn, _ = server.accept()
             while True:
-                frame = read_frame(conn)
+                frame = read_frame(conn, wire.max_payload_len(5))
                 if frame is None:
                     break
                 received.append(frame)
@@ -82,6 +84,48 @@ class TestTcpFraming:
         thread.join(timeout=5)
         server.close()
         assert received == frames
+
+
+class TestReadFrameBounds:
+    """A corrupt or stalled frame ends in a named error within a second."""
+
+    def test_oversized_declared_length_rejected_at_once(self):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5.0)
+            a.sendall(struct.pack("<4sBBI", wire.MAGIC, wire.VERSION, wire.MSG_MODEL_VALUES,
+                                  0xFFFFFFF0))
+            start = time.perf_counter()
+            with pytest.raises(ProtocolError, match="4294967280 payload bytes"):
+                read_frame(b, wire.max_payload_len(16))
+            assert time.perf_counter() - start < 1.0
+
+    def test_largest_legal_frames_pass_the_bound(self):
+        n_dims = 100_000  # the model frames, not the report cap, set the bound
+        dense = sparsify.encode_payload(sparsify.SparsePayload(7, 1, np.arange(float(n_dims))))
+        frames = [dense, wire.encode_model_full(np.arange(float(n_dims)))]
+        assert len(dense) == wire.HEADER_LEN + wire.max_payload_len(n_dims)
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5.0)
+            for frame in frames:
+                sender = threading.Thread(target=a.sendall, args=(frame,))
+                sender.start()
+                assert read_frame(b, wire.max_payload_len(n_dims)) == frame
+                sender.join()
+            a.sendall(dense[:wire.HEADER_LEN])
+            with pytest.raises(ProtocolError):
+                read_frame(b, wire.max_payload_len(n_dims) - 1)
+
+    def test_timeout_mid_frame_is_a_transport_error(self):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(0.2)
+            a.sendall(wire.encode_model_full(np.arange(4.0))[:-5])
+            start = time.perf_counter()
+            with pytest.raises(TransportError, match="timed out"):
+                read_frame(b, wire.max_payload_len(4))
+            assert time.perf_counter() - start < 1.0
 
 
 def _config(transport, seed=31, n=4, t=20):
