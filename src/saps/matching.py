@@ -137,7 +137,8 @@ def _max_matching_order(g: Graph, order: Sequence[int], adj: Sequence[Sequence[i
     for v in order:
         if match[v] == -1:
             _augmenting_pass(n, adj, match, v)
-    # via a set and from_pairs, as ever: callers sum floats in pair iteration order
+    # through a set and from_pairs: callers sum floats over the pairs in their
+    # iteration order, which depends on how the frozenset was built
     return Matching.from_pairs(n, {(v, u) for v, u in enumerate(match) if u > v})
 
 

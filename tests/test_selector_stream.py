@@ -120,7 +120,6 @@ def test_selector_timestamps_are_a_snapshot():
     assert not before.last_round.flags.writeable
 
 
-
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5, 123456789])
 def test_shuffle_lists_equals_random_shuffle(seed):
     lengths = list(range(301)) + [300, 0, 1, 2, 17, 256, 129]
