@@ -17,18 +17,8 @@ import random
 import numpy as np
 
 from saps.cli import load_cities14
-from saps.coordinator import get_new_connected_graph
+from saps.coordinator import make_selector
 from saps.core import symmetrize_bandwidth
-from saps.matching import AdaptiveSelector, RandomSelector, RingSelector
-
-
-def selector_for(mode, b, t_thres, seed):
-    if mode == "adaptive":
-        b_thres = float(np.median(b.speeds[b.speeds > 0]))
-        return AdaptiveSelector(b, get_new_connected_graph(b, b_thres), t_thres, random.Random(seed))
-    if mode == "random":
-        return RandomSelector(b, random.Random(seed))
-    return RingSelector(b.n)
 
 
 def main() -> None:
@@ -55,11 +45,11 @@ def main() -> None:
         writer = csv.writer(f)
         writer.writerow(["mode", "round", "min_bw", "mean_bw"])
         for mode in modes:
-            sel = selector_for(mode, b, args.t_thres, args.seed)
+            sel = make_selector(mode, b, None, args.t_thres, random.Random(args.seed))
             mins = []
             for t in range(args.rounds):
                 _, m = sel.next_round()
-                speeds = [b.speeds[i, j] for i, j in m.pairs]
+                speeds = [b.speeds[i, j] for i, j in sorted(m.pairs)]
                 writer.writerow([mode, t, min(speeds), float(np.mean(speeds))])
                 mins.append(min(speeds))
             print(f"{mode:9s} mean bottleneck {np.mean(mins) / 1e6:.3f} MB/s")

@@ -18,7 +18,9 @@ from .coordinator import (
     Coordinator,
     CostModelInput,
     comm_cost,
+    default_b_thres,
     get_new_connected_graph,
+    make_selector,
 )
 from .core import (
     AdjacencyMatrix,
@@ -30,7 +32,6 @@ from .core import (
     TheoryConstants,
     TimestampMatrix,
     splitmix64_array,
-    splitmix_stream,
     symmetrize_bandwidth,
 )
 from .matching import (
@@ -49,11 +50,9 @@ from .objectives import (
     DataShard,
     ObjectiveSet,
     finite_difference_gradient,
-    load_matrix,
     make_logistic,
     make_mlp,
     make_quadratic,
-    save_matrix,
 )
 from .sparsify import (
     MaskStream,
@@ -65,6 +64,6 @@ from .sparsify import (
     merge_masked,
 )
 from .transport import SimFabric, TcpFabric, round_time
-from .worker import Worker, run_worker_round
+from .worker import Worker
 
 __version__ = "0.1.0"

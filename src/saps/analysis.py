@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import TheoryConstants
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .sparsify import generate_mask
 
 CSV_HEADER = "round,pairs,bytes_per_worker,min_bw,mean_bw,consensus_err,mean_loss,cum_time"
@@ -25,6 +25,7 @@ class RoundRecord:
     """Metrics of one synchronous round."""
 
     round: int
+    seed: int  # the round's mask seed; not a CSV column
     pairs: tuple[tuple[int, int], ...]
     bytes_per_worker: float  # payload-frame bytes sent+received, averaged over workers
     min_bw: float  # bottleneck bandwidth over matched pairs (0 if none matched)
@@ -47,35 +48,14 @@ def consensus_error(models: np.ndarray) -> float:
     return float(np.sum((models - xbar) ** 2))
 
 
-def second_eigenvalue(mean_matrix: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> float:
+def second_eigenvalue(mean_matrix: np.ndarray) -> float:
     """Second-largest eigenvalue of a symmetric doubly stochastic mean matrix.
 
     Deflates the known top eigenpair (eigenvalue 1, eigenvector 1/sqrt(n))
-    and power-iterates the remainder to the requested residual.
+    and takes the largest eigenvalue of the remainder, clipped at 0.
     """
     m = np.asarray(mean_matrix, dtype=np.float64)
-    n = m.shape[0]
-    ones = np.full(n, 1.0 / math.sqrt(n))
-    deflated = m - np.outer(ones, ones)
-
-    rng = np.random.default_rng(0xD3F1A7E)
-    v = rng.normal(size=n)
-    v -= v.mean()
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise NumericalError("degenerate start vector")
-    v /= norm
-    lam = 0.0
-    for _ in range(max_iter):
-        u = deflated @ v
-        nu = np.linalg.norm(u)
-        if nu < tol:
-            return 0.0
-        lam = float(v @ u)
-        if np.linalg.norm(u - lam * v) <= tol:
-            return max(lam, 0.0)
-        v = u / nu
-    raise NumericalError(f"power iteration did not reach residual {tol} in {max_iter} steps")
+    return max(0.0, float(np.linalg.eigvalsh(m - 1.0 / m.shape[0])[-1]))
 
 
 def estimate_rho(selector, n_samples: int, warmup: int | None = None) -> SpectralEstimate:
@@ -96,9 +76,9 @@ def estimate_rho(selector, n_samples: int, warmup: int | None = None) -> Spectra
     batch_tot = np.zeros((n_batches, n, n))
     for k in range(n_samples):
         w, _ = selector.next_round()
-        wtw = w.weights.T @ w.weights
-        total += wtw
-        batch_tot[k * n_batches // n_samples] += wtw
+        # a matching's W is symmetric and idempotent, so W^T W is W bit for bit
+        total += w.weights
+        batch_tot[k * n_batches // n_samples] += w.weights
     rho = second_eigenvalue(total / n_samples)
     batch_sizes = np.bincount(
         [k * n_batches // n_samples for k in range(n_samples)], minlength=n_batches

@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .coordinator import ALGORITHMS, Coordinator, CostModelInput, comm_cost
+from .coordinator import (
+    ALGORITHMS,
+    Coordinator,
+    CostModelInput,
+    comm_cost,
+    make_selector,
+    run_streams,
+)
 from .core import BandwidthMatrix, SplitMix64, symmetrize_bandwidth
 from .errors import SapsError, ValidationError
 from .objectives import ObjectiveSet, make_logistic, make_mlp, make_quadratic
@@ -40,7 +47,7 @@ class ExperimentConfig:
     gamma: float
     N: int | None = None
     T_thres: int = 10
-    B_thres: float | None = None  # None: median of positive bandwidth entries
+    B_thres: float | None = None  # None: coordinator.default_b_thres
     master_seed: int = 0
     objective: dict = field(default_factory=lambda: {"kind": "quadratic"})
     partition: str = "iid"
@@ -166,21 +173,23 @@ class ExperimentResult:
     workers: list[Worker]
 
 
+def _runner_streams(cfg: ExperimentConfig) -> tuple[np.random.Generator, np.random.Generator, int]:
+    """The runner's data RNG, bandwidth RNG and base of the per-worker sample seeds."""
+    seeds = SplitMix64(cfg.master_seed ^ _RUNNER_SALT)
+    return (
+        np.random.default_rng(seeds.next_u64()),
+        np.random.default_rng(seeds.next_u64()),
+        seeds.next_u64(),
+    )
+
+
 def run_experiment(cfg: ExperimentConfig, out_csv: str | Path | None = None) -> ExperimentResult:
     """Execute T rounds, optionally write the metrics CSV, return the summary."""
     cfg.validate()
-    seeds = SplitMix64(cfg.master_seed ^ _RUNNER_SALT)
-    data_rng = np.random.default_rng(seeds.next_u64())
-    bw_rng = np.random.default_rng(seeds.next_u64())
-    sample_base = seeds.next_u64()
-
+    data_rng, bw_rng, sample_base = _runner_streams(cfg)
     b = build_bandwidth(cfg, bw_rng)
     objset = build_objectives(cfg, data_rng)
     n_dims = objset.dim
-    b_thres = cfg.B_thres
-    if b_thres is None:
-        positive = b.speeds[b.speeds > 0]
-        b_thres = float(np.median(positive)) if positive.size else 0.0
 
     workers = [
         Worker(
@@ -194,7 +203,7 @@ def run_experiment(cfg: ExperimentConfig, out_csv: str | Path | None = None) -> 
         for rank in range(cfg.n)
     ]
     coord = Coordinator(
-        b, b_thres, cfg.T_thres, cfg.master_seed, cfg.c, n_dims, cfg.peer_selection
+        b, cfg.B_thres, cfg.T_thres, cfg.master_seed, cfg.c, n_dims, cfg.peer_selection
     )
     fabric = (
         SimFabric(workers, b) if cfg.transport == "sim" else TcpFabric(workers, b)
@@ -258,28 +267,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
-    import random
-
-    from .matching import AdaptiveSelector, RandomSelector, RingSelector
-
     cfg = ExperimentConfig.from_json(args.config)
-    seeds = SplitMix64(cfg.master_seed ^ _RUNNER_SALT)
-    seeds.next_u64()
-    bw_rng = np.random.default_rng(seeds.next_u64())
+    _, bw_rng, _ = _runner_streams(cfg)
     b = build_bandwidth(cfg, bw_rng)
-    b_thres = cfg.B_thres
-    if b_thres is None:
-        positive = b.speeds[b.speeds > 0]
-        b_thres = float(np.median(positive)) if positive.size else 0.0
-    rng = random.Random(cfg.master_seed)
-    if cfg.peer_selection == "adaptive":
-        from .coordinator import get_new_connected_graph
-
-        selector = AdaptiveSelector(b, get_new_connected_graph(b, b_thres), cfg.T_thres, rng)
-    elif cfg.peer_selection == "random":
-        selector = RandomSelector(b, rng)
-    else:
-        selector = RingSelector(cfg.n)
+    _, match_rng = run_streams(cfg.master_seed)
+    selector = make_selector(cfg.peer_selection, b, cfg.B_thres, cfg.T_thres, match_rng)
     est = analysis.estimate_rho(selector, args.samples)
     print(f"rho: {est.rho:.12f}")
     print(f"samples: {est.n_samples}")
@@ -341,9 +333,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except SapsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ from .core import (
     GossipMatrix,
     Matching,
     SplitMix64,
-    TimestampMatrix,
 )
 from .errors import ProtocolError, ValidationError
 from .matching import AdaptiveSelector, RandomSelector, RingSelector
@@ -90,6 +89,37 @@ def get_new_connected_graph(b: BandwidthMatrix, b_thres: float) -> AdjacencyMatr
     return AdjacencyMatrix(edges)
 
 
+def default_b_thres(b: BandwidthMatrix) -> float:
+    """B_thres when none is configured: the median positive link speed (0.0 if none)."""
+    positive = b.speeds[b.speeds > 0]
+    return float(np.median(positive)) if positive.size else 0.0
+
+
+def make_selector(
+    mode: str,
+    b: BandwidthMatrix,
+    b_thres: float | None,
+    t_thres: int,
+    rng: random.Random,
+) -> AdaptiveSelector | RandomSelector | RingSelector:
+    """The peer selector of a run; b_thres None means `default_b_thres(b)`."""
+    if mode == "adaptive":
+        if b_thres is None:
+            b_thres = default_b_thres(b)
+        return AdaptiveSelector(b, get_new_connected_graph(b, b_thres), t_thres, rng)
+    if mode == "random":
+        return RandomSelector(b, rng)
+    if mode == "ring":
+        return RingSelector(b.n)
+    raise ValidationError(f"unknown peer-selection mode {mode!r}")
+
+
+def run_streams(master_seed: int) -> tuple[SplitMix64, random.Random]:
+    """A run's two protocol streams: per-round mask seeds and the matching RNG."""
+    roots = SplitMix64(master_seed)
+    return SplitMix64(roots.next_u64()), random.Random(roots.next_u64())
+
+
 @dataclass(frozen=True)
 class RoundPlan:
     t: int
@@ -110,14 +140,6 @@ class BarrierState:
     losses: dict[int, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RoundLogEntry:
-    t: int
-    seed: int
-    matching: Matching
-    losses: tuple[float, ...]  # by worker rank
-
-
 class Coordinator:
     """Round state machine over n workers.
 
@@ -128,7 +150,7 @@ class Coordinator:
     def __init__(
         self,
         b: BandwidthMatrix,
-        b_thres: float,
+        b_thres: float | None,
         t_thres: int,
         master_seed: int,
         c: int,
@@ -139,28 +161,13 @@ class Coordinator:
             raise ValidationError(f"need at least 2 workers, got {b.n}")
         self.n = b.n
         self.b = b
-        self.b_thres = b_thres
-        self.b_star = get_new_connected_graph(b, b_thres)
-        self.t_thres = t_thres
-        self.master_seed = master_seed
         self.compression = CompressionConfig(c)
         self.n_dims = n_dims
-
-        roots = SplitMix64(master_seed)
-        self._seed_stream = SplitMix64(roots.next_u64())
-        match_rng = random.Random(roots.next_u64())
-        if peer_selection == "adaptive":
-            self.selector = AdaptiveSelector(b, self.b_star, t_thres, match_rng)
-        elif peer_selection == "random":
-            self.selector = RandomSelector(b, match_rng)
-        elif peer_selection == "ring":
-            self.selector = RingSelector(b.n)
-        else:
-            raise ValidationError(f"unknown peer-selection mode {peer_selection!r}")
+        self._seed_stream, match_rng = run_streams(master_seed)
+        self.selector = make_selector(peer_selection, b, b_thres, t_thres, match_rng)
 
         self.t = 0
         self.records: list[analysis.RoundRecord] = []
-        self.round_log: list[RoundLogEntry] = []
         # latest per-direction speed reports; B is their min-symmetrization
         self._raw_speeds = b.speeds.copy()
         self.cum_time = 0.0
@@ -170,15 +177,16 @@ class Coordinator:
         self._wtw_sum = np.zeros((self.n, self.n))
 
     @property
-    def r(self) -> TimestampMatrix | None:
-        return getattr(self.selector, "r", None)
+    def b_star(self) -> AdjacencyMatrix:
+        """The adaptive selector's threshold graph B*."""
+        return self.selector.b_star
 
     def plan_round(self) -> RoundPlan:
         seed = self._seed_stream.next_u64()
         gossip, matching = self.selector.next_round()
         mask_count = sparsify.generate_mask(seed, self.compression.c, self.n_dims).count
         frame_bytes = sparsify.payload_frame_bytes(mask_count)
-        speeds = [self.b.speeds[i, j] for i, j in matching.pairs]
+        speeds = [self.b.speeds[i, j] for i, j in sorted(matching.pairs)]
         # a matching's W is symmetric and idempotent with entries 0, 1/2 and 1,
         # so W^T W is W exactly, bit for bit
         self._wtw_sum += gossip.weights
@@ -210,8 +218,9 @@ class Coordinator:
     def handle_bandwidth_report(self, report: wire.BandwidthReport) -> None:
         """Fold a worker's measured link speeds into B (slow-direction rule).
 
-        The threshold graph B* stays fixed; updated speeds steer bridging,
-        fallback matching and the timing model from the next round on.
+        Updated speeds steer the selector and the timing model from the next
+        round on.  The threshold graph B* stays fixed, but no selector matches
+        over a link while its speed is 0.
         """
         if report.worker_id >= self.n:
             raise ProtocolError(f"bandwidth report from unknown worker {report.worker_id}")
@@ -223,9 +232,7 @@ class Coordinator:
             self._raw_speeds[report.worker_id, peer] = bps
         speeds = np.minimum(self._raw_speeds, self._raw_speeds.T)
         np.fill_diagonal(speeds, 0.0)
-        self.b = BandwidthMatrix(speeds)
-        if hasattr(self.selector, "b"):
-            self.selector.b = self.b
+        self.b = self.selector.b = BandwidthMatrix(speeds)
 
     def run_round(self, fabric) -> analysis.RoundRecord:
         """One full synchronous round over the given fabric."""
@@ -247,12 +254,6 @@ class Coordinator:
             else:
                 raise ProtocolError(f"unexpected msg_type {msg_type} during round barrier")
 
-        self.round_log.append(
-            RoundLogEntry(
-                plan.t, plan.seed, plan.matching,
-                tuple(barrier.losses[w] for w in range(self.n)),
-            )
-        )
         matched = {v for pair in plan.matching.pairs for v in pair}
         self.values_per_worker[list(matched)] += 2 * plan.mask_count
         self.cum_time += plan.seconds
@@ -260,6 +261,7 @@ class Coordinator:
         bytes_per_worker = 2.0 * plan.frame_bytes * len(matched) / self.n
         record = analysis.RoundRecord(
             round=plan.t,
+            seed=plan.seed,
             pairs=tuple(sorted(plan.matching.pairs)),
             bytes_per_worker=bytes_per_worker,
             min_bw=plan.min_bw,

@@ -58,11 +58,6 @@ class SplitMix64:
             yield self.next_u64()
 
 
-def splitmix_stream(seed: int) -> SplitMix64:
-    """The deterministic 64-bit stream used for seeds and masks."""
-    return SplitMix64(seed)
-
-
 def splitmix64_array(seed: int, count: int) -> np.ndarray:
     """First ``count`` outputs of ``SplitMix64(seed)`` as a uint64 array.
 
@@ -82,12 +77,6 @@ def splitmix64_array(seed: int, count: int) -> np.ndarray:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def check_finite(x: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(f"{what} contains non-finite entries")
-    return x
 
 
 @dataclass(frozen=True)
@@ -149,10 +138,6 @@ class AdjacencyMatrix:
     @property
     def n(self) -> int:
         return self.edges.shape[0]
-
-    @classmethod
-    def empty(cls, n: int) -> "AdjacencyMatrix":
-        return cls(np.zeros((n, n), dtype=bool))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "AdjacencyMatrix":
@@ -225,14 +210,6 @@ class Matching:
         used = {v for p in norm for v in p}
         return cls(n, norm, frozenset(range(n)) - used)
 
-    def peer_of(self, rank: int) -> int | None:
-        for i, j in self.pairs:
-            if rank == i:
-                return j
-            if rank == j:
-                return i
-        return None
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -289,14 +266,6 @@ class CompressionConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.c, int) or self.c < 1:
             raise ValidationError(f"compression ratio c must be an integer >= 1, got {self.c!r}")
-
-    @property
-    def p(self) -> float:
-        return 1.0 / self.c
-
-    @property
-    def q(self) -> float:
-        return 1.0 - 1.0 / self.c
 
 
 @dataclass(frozen=True)

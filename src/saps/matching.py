@@ -36,11 +36,6 @@ class Graph:
             raise ValidationError("adjacency size does not match n")
 
     @classmethod
-    def from_bool(cls, edges: np.ndarray) -> "Graph":
-        adj = AdjacencyMatrix(np.asarray(edges, dtype=bool))
-        return cls(adj.n, adj)
-
-    @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, AdjacencyMatrix.from_pairs(n, pairs))
 
@@ -137,8 +132,9 @@ def _max_matching_order(g: Graph, order: Sequence[int], adj: Sequence[Sequence[i
     for v in order:
         if match[v] == -1:
             _augmenting_pass(n, adj, match, v)
-    # through a set and from_pairs: callers sum floats over the pairs in their
-    # iteration order, which depends on how the frozenset was built
+    # through a set and from_pairs: the golden digests in
+    # tests/test_selector_stream.py pin the matchings' iteration order,
+    # which depends on how the frozenset was built
     return Matching.from_pairs(n, {(v, u) for v, u in enumerate(match) if u > v})
 
 
@@ -252,6 +248,11 @@ def get_unmatch(b: BandwidthMatrix, m: Matching) -> AdjacencyMatrix:
     return AdjacencyMatrix(e)
 
 
+def _live(b_star: AdjacencyMatrix, b: BandwidthMatrix) -> Graph:
+    """B* less the links whose current speed is 0."""
+    return Graph(b.n, AdjacencyMatrix(b_star.edges & (b.speeds > 0)))
+
+
 def _select(
     b: BandwidthMatrix,
     b_star: Graph,
@@ -260,7 +261,7 @@ def _select(
     t: int,
     rng: random.Random,
 ) -> Matching:
-    """The matching of one round of peer selection (see generate_gossip_matrix)."""
+    """One round's matching (see generate_gossip_matrix) on the live B*."""
     n = b_star.n
     if if_connected(r, t_thres, t):
         candidates = b_star
@@ -287,27 +288,29 @@ def generate_gossip_matrix(
     """One round of peer selection.
 
     If the recently-connected graph is still connected, match on the
-    bandwidth-filtered graph; otherwise match on bridging edges that join the
-    stale components.  Workers left over after the first match get a second
-    randomised match over the full positive-bandwidth graph.  The caller owns
-    the timestamp matrix and records the matched pairs at round t.
+    bandwidth-filtered graph B*; otherwise match on bridging edges that join
+    the stale components.  Workers left over after the first match get a
+    second randomised match over the full positive-bandwidth graph.  No link
+    whose speed in `b` is 0 is matched, B*'s included.  The caller owns the
+    timestamp matrix and records the matched pairs at round t.
     """
     if n < 2:
         raise ValidationError(f"need at least 2 workers, got {n}")
     if b.n != n or b_star.n != n or r.n != n:
         raise ValidationError("matrix sizes do not match n")
-    match = _select(b, Graph(n, b_star), r, t_thres, t, rng)
+    match = _select(b, _live(b_star, b), r, t_thres, t, rng)
     return GossipMatrix.from_matching(match), match
 
 
 class AdaptiveSelector:
     """Stateful generate_gossip_matrix; owns R and the round clock.
 
-    B*'s neighbour lists are built once.  R is a private int64 array updated
-    in place; `_r_view` is a read-only TimestampMatrix over it, validated
-    once, which the connectivity and bridging steps read.  `b` may be
-    replaced between rounds (the coordinator does so after a bandwidth
-    report); B* is fixed.
+    The live B*'s neighbour lists are built once per `b`.  R is a private
+    int64 array updated in place; `_r_view` is a read-only TimestampMatrix
+    over it, validated once, which the connectivity and bridging steps read.
+    `b` may be replaced between rounds (the coordinator does so after a
+    bandwidth report); B* is fixed, but a link leaves the live B* while its
+    speed in `b` is 0.
     """
 
     def __init__(
@@ -323,8 +326,8 @@ class AdaptiveSelector:
             raise ValidationError(f"need at least 2 workers, got {b.n}")
         if b_star.n != b.n:
             raise ValidationError("matrix sizes do not match n")
+        self.b_star = b_star
         self.b = b
-        self._b_star = Graph(b.n, b_star)
         self.t_thres = t_thres
         self.rng = rng
         self._r = TimestampMatrix.initial(b.n, t_thres).last_round.copy()
@@ -336,8 +339,13 @@ class AdaptiveSelector:
         return self.b.n
 
     @property
-    def b_star(self) -> AdjacencyMatrix:
-        return self._b_star.adjacency
+    def b(self) -> BandwidthMatrix:
+        return self._b
+
+    @b.setter
+    def b(self, b: BandwidthMatrix) -> None:
+        self._b = b
+        self._b_live = _live(self.b_star, b)
 
     @property
     def r(self) -> TimestampMatrix:
@@ -350,7 +358,7 @@ class AdaptiveSelector:
 
     def next_round(self) -> tuple[GossipMatrix, Matching]:
         t = self.t
-        match = _select(self.b, self._b_star, self._r_view, self.t_thres, t, self.rng)
+        match = _select(self._b, self._b_live, self._r_view, self.t_thres, t, self.rng)
         r = self._r
         for i, j in match.pairs:
             r[i, j] = r[j, i] = t
@@ -359,18 +367,28 @@ class AdaptiveSelector:
 
 
 class RandomSelector:
-    """Bandwidth-agnostic baseline: random maximum matching on positive edges."""
+    """Bandwidth-agnostic baseline: random maximum matching on the links
+    whose current speed is positive."""
 
     suggested_warmup = 0
 
     def __init__(self, b: BandwidthMatrix, rng: random.Random) -> None:
-        self.graph = Graph(b.n, b.positive_edges())
+        self.b = b
         self.rng = rng
         self.t = 0
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def b(self) -> BandwidthMatrix:
+        return self._b
+
+    @b.setter
+    def b(self, b: BandwidthMatrix) -> None:
+        self._b = b
+        self.graph = Graph(b.n, b.positive_edges())
 
     def next_round(self) -> tuple[GossipMatrix, Matching]:
         m = randomly_max_match(self.graph, self.rng)
@@ -379,7 +397,8 @@ class RandomSelector:
 
 
 class RingSelector:
-    """Fixed ring 0 -> 1 -> ... -> n-1 -> 0, alternating its two perfect pairings."""
+    """Fixed ring 0 -> 1 -> ... -> n-1 -> 0, alternating its two perfect pairings;
+    once the coordinator sets `b`, a ring pair whose speed is 0 is left out."""
 
     suggested_warmup = 0
 
@@ -387,11 +406,14 @@ class RingSelector:
         if n < 2 or n % 2 != 0:
             raise ValidationError(f"ring selector needs an even n >= 2, got {n}")
         self.n = n
+        self.b: BandwidthMatrix | None = None
         self.t = 0
 
     def next_round(self) -> tuple[GossipMatrix, Matching]:
         start = self.t % 2
         pairs = [(i, (i + 1) % self.n) for i in range(start, self.n + start - 1, 2)]
+        if self.b is not None:
+            pairs = [(i, j) for i, j in pairs if self.b.speeds[i, j] > 0]
         m = Matching.from_pairs(self.n, pairs)
         self.t += 1
         return GossipMatrix.from_matching(m), m

@@ -9,9 +9,7 @@ mini-batch losses and gradients on it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -135,13 +133,6 @@ class ObjectiveSet:
     def dim(self) -> int:
         return self.objectives[0].dim
 
-    def global_loss(self, x: ParameterVector) -> float:
-        return float(np.mean([o.full_loss(x) for o in self.objectives]))
-
-    def global_grad(self, x: ParameterVector) -> np.ndarray:
-        grads = [o.loss_and_grad(x, np.random.default_rng(0))[1] for o in self.objectives]
-        return np.mean(grads, axis=0)
-
 
 def make_quadratic(
     n_workers: int,
@@ -237,28 +228,6 @@ def make_mlp(
         objectives=objs,
         initial_models=[theta0.copy() for _ in range(n_workers)],
     )
-
-
-def save_matrix(path: str | Path, m: np.ndarray) -> None:
-    """Binary matrix file: header (n_cols u32, rows u32), then row-major f64."""
-    m = np.ascontiguousarray(m, dtype="<f8")
-    if m.ndim != 2:
-        raise ValidationError("matrix file stores 2-D matrices")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", m.shape[1], m.shape[0]))
-        f.write(m.tobytes())
-
-
-def load_matrix(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        head = f.read(8)
-        if len(head) != 8:
-            raise ValidationError(f"{path}: truncated matrix header")
-        n_cols, rows = struct.unpack("<II", head)
-        data = f.read()
-    if len(data) != 8 * n_cols * rows:
-        raise ValidationError(f"{path}: matrix payload does not match header")
-    return np.frombuffer(data, dtype="<f8").reshape(rows, n_cols).astype(np.float64)
 
 
 def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

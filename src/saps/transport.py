@@ -100,7 +100,9 @@ class SimFabric:
                 )
             self.payload_bytes_per_worker[w.rank] += len(frame)  # received
             self.payload_bytes_per_worker[peer] += len(frame)  # sent
-            self.values_per_worker[w.rank] += sparsify.decode_payload(frame).count * 2
+            # counted from the frame's length; finish_round decodes it
+            values = (len(frame) - sparsify.payload_frame_bytes(0)) // 8
+            self.values_per_worker[w.rank] += 2 * values  # received, and as many sent
         for w in self.workers:
             peer = starts[w.rank].peer_id
             ack = w.finish_round(payloads[peer] if peer is not None else None)
@@ -250,7 +252,6 @@ class TcpFabric:
         if len(workers) != b.n:
             raise ValidationError("worker count does not match bandwidth matrix")
         self.workers = workers
-        self.b = b
         self.timeout = timeout
         self._max_payload_len = wire.max_payload_len(max(w.n_dims for w in workers))
         self._failures: list[BaseException] = []

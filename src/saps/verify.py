@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import analysis, sparsify
-from .coordinator import CostModelInput, comm_cost, get_new_connected_graph
+from .coordinator import CostModelInput, comm_cost, make_selector
 from .core import GossipMatrix, symmetrize_bandwidth
 from .errors import InvariantViolation, ProtocolError
 from .matching import AdaptiveSelector, Graph, max_matching, randomly_max_match
@@ -38,12 +38,10 @@ def make_adaptive_selector(
     n: int, seed: int, bandwidth: np.ndarray | None = None, t_thres: int = 10
 ) -> AdaptiveSelector:
     """The default generator used by the statistical checks: uniform random
-    bandwidth on (0, 5 MB/s], threshold at the median positive entry."""
+    bandwidth on (0, 5 MB/s], the default B_thres."""
     rng = np.random.default_rng(seed)
     raw = bandwidth if bandwidth is not None else 5e6 - rng.uniform(0, 5e6, size=(n, n))
-    b = symmetrize_bandwidth(raw)
-    b_thres = float(np.median(b.speeds[b.speeds > 0]))
-    return AdaptiveSelector(b, get_new_connected_graph(b, b_thres), t_thres, random.Random(seed))
+    return make_selector("adaptive", symmetrize_bandwidth(raw), None, t_thres, random.Random(seed))
 
 
 def check_gossip_invariants(n_matrices: int = 10_000) -> CheckResult:

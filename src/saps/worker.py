@@ -5,14 +5,9 @@ peers' sends however they need:
 
     payload = worker.begin_round(msg)      # SGD step, mask, extract, encode
     ack     = worker.finish_round(peer_payload_bytes)   # decode, merge, ack
-
-`run_worker_round` composes the phases through an exchange callable for
-in-process use.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -108,17 +103,3 @@ class Worker:
     def model_frame(self) -> bytes:
         return wire.encode_model_full(self.x)
 
-
-def run_worker_round(
-    worker: Worker,
-    msg: wire.RoundStart,
-    exchange: Callable[[bytes], bytes] | None = None,
-) -> wire.RoundEnd:
-    """One full round; `exchange` sends our payload and returns the peer's."""
-    out = worker.begin_round(msg)
-    peer_frame = None
-    if out is not None:
-        if exchange is None:
-            raise ValidationError("round has a peer but no exchange function was given")
-        peer_frame = exchange(out)
-    return worker.finish_round(peer_frame)

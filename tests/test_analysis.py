@@ -23,7 +23,7 @@ from saps.verify import make_adaptive_selector
 
 def record(round=0, pairs=((0, 1),), min_bw=1.0, mean_bw=1.0, **kw):
     defaults = dict(
-        bytes_per_worker=16.0, consensus_err=0.0, mean_loss=0.5, cum_time=float(round)
+        seed=0, bytes_per_worker=16.0, consensus_err=0.0, mean_loss=0.5, cum_time=float(round)
     )
     defaults.update(kw)
     return RoundRecord(round=round, pairs=tuple(pairs), min_bw=min_bw, mean_bw=mean_bw, **defaults)

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from saps import wire
+from saps.analysis import estimate_rho, second_eigenvalue
 from saps.coordinator import (
     BarrierState,
     Coordinator,
     CostModelInput,
     comm_cost,
+    default_b_thres,
     get_new_connected_graph,
+    make_selector,
+    run_streams,
 )
-from saps.core import GossipMatrix, symmetrize_bandwidth
+from saps.core import GossipMatrix, Matching, symmetrize_bandwidth
 from saps.errors import ProtocolError, ValidationError
 from saps.objectives import QuadraticObjective, make_quadratic
 from saps.transport import SimFabric
@@ -125,10 +129,8 @@ class TestRunRound:
         for _ in range(15):
             coord_a.run_round(fabric_a)
             coord_b.run_round(fabric_b)
-        assert [e.matching.pairs for e in coord_a.round_log] == [
-            e.matching.pairs for e in coord_b.round_log
-        ]
-        assert [e.seed for e in coord_a.round_log] == [e.seed for e in coord_b.round_log]
+        assert [r.pairs for r in coord_a.records] == [r.pairs for r in coord_b.records]
+        assert [r.seed for r in coord_a.records] == [r.seed for r in coord_b.records]
 
     @pytest.mark.parametrize("mode,n", [("adaptive", 5), ("adaptive", 8), ("random", 7), ("ring", 6)])
     def test_mean_wtw_equals_dense_formula_exactly(self, mode, n):
@@ -136,14 +138,17 @@ class TestRunRound:
         workers = [Worker(i, objset.initial_models[i], objset.objectives[i], 0.05, 2, sample_seed=i)
                    for i in range(n)]
         b = uniform_bandwidth(n, 4)
-        coord = Coordinator(b, float(np.median(b.speeds[b.speeds > 0])), 2, 9, 2, 8, mode)
+        coord = Coordinator(b, default_b_thres(b), 2, 9, 2, 8, mode)
         fabric = SimFabric(workers, b)
         dense = np.zeros((n, n))
-        for _ in range(50):
+        for _ in range(100):
             coord.run_round(fabric)
-            w = GossipMatrix.from_matching(coord.round_log[-1].matching).weights
+            w = GossipMatrix.from_matching(Matching.from_pairs(n, coord.records[-1].pairs)).weights
             dense += w.T @ w
-        assert np.array_equal(coord.mean_wtw(), dense / 50)
+        assert np.array_equal(coord.mean_wtw(), dense / 100)
+        # estimate_rho sums W in place of W^T W too: the same stream, the same rho
+        replay = make_selector(mode, b, default_b_thres(b), 2, run_streams(9)[1])
+        assert estimate_rho(replay, 100, warmup=0).rho == second_eigenvalue(dense / 100)
 
     def test_round_record_byte_accounting_matches_fabric(self):
         _, coord, fabric = build(n=4, c=2)
@@ -214,6 +219,26 @@ class TestBandwidthReportIngestion:
         coord.handle_bandwidth_report(wire.BandwidthReport(0, ((1, 20.0),)))
         coord.handle_bandwidth_report(wire.BandwidthReport(1, ((0, 30.0),)))
         assert coord.b.speeds[0, 1] == 20.0  # min of the latest two directions
+
+    @pytest.mark.parametrize("mode", ["adaptive", "random", "ring"])
+    def test_zero_speed_link_is_never_matched(self, mode):
+        n = 8
+        objset = make_quadratic(n, 8, np.random.default_rng(3))
+        workers = [Worker(i, objset.initial_models[i], objset.objectives[i], 0.05, 2, sample_seed=i)
+                   for i in range(n)]
+        b = uniform_bandwidth(n, 3)
+        coord = Coordinator(b, None, 3, 3, 2, 8, mode)
+        fabric = SimFabric(workers, b)
+        for _ in range(40):
+            coord.run_round(fabric)
+        workers[0].queue_bandwidth_report([(peer, 0.0) for peer in range(1, n)])
+        for _ in range(200):
+            coord.run_round(fabric)
+        assert not coord.b.speeds[0].any()
+        # the report lands in round 40's barrier, so round 41 is the first planned after it
+        for rec in coord.records[41:]:
+            assert all(coord.b.speeds[i, j] > 0 for i, j in rec.pairs)
+            assert rec.min_bw > 0 or not rec.pairs
 
     def test_report_is_min_symmetrized(self):
         _, coord, _ = build(n=4)

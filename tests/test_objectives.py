@@ -10,11 +10,9 @@ from saps.objectives import (
     MlpObjective,
     QuadraticObjective,
     finite_difference_gradient,
-    load_matrix,
     make_logistic,
     make_mlp,
     make_quadratic,
-    save_matrix,
 )
 
 
@@ -142,22 +140,6 @@ class TestSigmoidSaturation:
             loss, grad = o.loss_and_grad(theta, np.random.default_rng(0))
         assert loss == 0.0
         assert not grad.any()
-
-
-class TestMatrixFile:
-    def test_round_trip(self, tmp_path):
-        m = np.random.default_rng(0).normal(size=(9, 4))
-        path = tmp_path / "data.bin"
-        save_matrix(path, m)
-        assert np.array_equal(load_matrix(path), m)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        save_matrix(path, np.ones((3, 3)))
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValidationError):
-            load_matrix(path)
 
 
 def test_empty_shard_rejected():

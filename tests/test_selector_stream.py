@@ -28,19 +28,29 @@ def uniform_network(n, seed):
 
 
 def stream_digest(coord, rounds=ROUNDS):
-    """sha256 over every round's mask seed, matching (in its iteration order,
-    which sets the float sums over pairs), bandwidth figures and gossip matrix,
-    then the matching RNG's final state and (adaptive only) the timestamps."""
+    """sha256 over every round's mask seed, matching (in its iteration order),
+    bandwidth figures and gossip matrix, then the matching RNG's final state
+    and (adaptive only) the timestamps.
+
+    The mean bandwidth enters as the mean over the pairs in their iteration
+    order, the figure the digests were taken with; `plan.mean_bw` sums in
+    sorted pair order, so that it does not depend on how the frozenset was
+    built, and is checked against that rule every round."""
     h = hashlib.sha256()
     for _ in range(rounds):
         plan = coord.plan_round()
+        pairs = list(plan.matching.pairs)
+        in_order = [coord.b.speeds[p] for p in pairs]
+        assert plan.mean_bw == (np.mean([coord.b.speeds[p] for p in sorted(pairs)]) if pairs else 0.0)
         h.update(plan.seed.to_bytes(8, "little"))
-        h.update(repr(list(plan.matching.pairs)).encode())
-        h.update(np.array([plan.min_bw, plan.mean_bw, plan.seconds]).tobytes())
+        h.update(repr(pairs).encode())
+        mean_bw = float(np.mean(in_order)) if pairs else 0.0
+        h.update(np.array([plan.min_bw, mean_bw, plan.seconds]).tobytes())
         h.update(plan.gossip.weights.tobytes())
     h.update(repr(coord.selector.rng.getstate()).encode())
-    if coord.r is not None:
-        h.update(np.ascontiguousarray(coord.r.last_round, dtype="<i8").tobytes())
+    r = getattr(coord.selector, "r", None)
+    if r is not None:
+        h.update(np.ascontiguousarray(r.last_round, dtype="<i8").tobytes())
     return h.hexdigest()
 
 

@@ -11,7 +11,7 @@ from saps.errors import NumericalError, ProtocolError
 from saps.objectives import QuadraticObjective, make_quadratic
 from saps.sparsify import generate_mask
 from saps.transport import SimFabric
-from saps.worker import Worker, run_worker_round
+from saps.worker import Worker
 
 
 def pair_exchange(a: Worker, b: Worker, seed: int, rnd: int):
@@ -62,7 +62,8 @@ class TestRunWorkerRound:
 
     def test_self_loop_round_only_applies_sgd(self):
         w = quad_worker(0, [1.0], [0.0], gamma=0.5, c=2)
-        ack = run_worker_round(w, wire.RoundStart(0, 5, None))
+        assert w.begin_round(wire.RoundStart(0, 5, None)) is None
+        ack = w.finish_round(None)
         assert w.x.tolist() == [0.5]
         assert ack.round == 0 and w.round == 1
 
@@ -123,14 +124,12 @@ class TestUpdateRuleEquivalence:
         targets = np.stack(objset.meta["targets"], axis=1)
         for _ in range(50):
             coord.run_round(fabric)
-            entry = coord.round_log[-1]
+            rec = coord.records[-1]
             Y = X - gamma * (X - targets)  # quadratic gradient
-            m = generate_mask(entry.seed, c, n_dims).included.astype(float)[:, None]
-            W = np.zeros((n, n))
-            for i, j in entry.matching.pairs:
+            m = generate_mask(rec.seed, c, n_dims).included.astype(float)[:, None]
+            W = np.eye(n)
+            for i, j in rec.pairs:
                 W[i, i] = W[j, j] = W[i, j] = W[j, i] = 0.5
-            for v in entry.matching.unmatched:
-                W[v, v] = 1.0
             X = Y * (1 - m) + (Y * m) @ W
             system = fabric.snapshot_models()
             np.testing.assert_allclose(system, X, atol=1e-12)
