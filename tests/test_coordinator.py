@@ -238,7 +238,6 @@ class TestBandwidthReportIngestion:
         # the report lands in round 40's barrier, so round 41 is the first planned after it
         for rec in coord.records[41:]:
             assert all(coord.b.speeds[i, j] > 0 for i, j in rec.pairs)
-            assert rec.min_bw > 0 or not rec.pairs
 
     def test_report_is_min_symmetrized(self):
         _, coord, _ = build(n=4)

@@ -29,10 +29,11 @@ def test_script_writes_its_csv(tmp_path, script, args, header, rows):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    subprocess.run(
+    proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
-        cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
+    assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as f:
         table = list(csv.reader(f))
     assert table[0] == header
