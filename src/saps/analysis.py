@@ -43,9 +43,14 @@ class SpectralEstimate:
 
 
 def consensus_error(models: np.ndarray) -> float:
-    """sum_i ||x_i - xbar||^2 for models stacked as columns (N x n)."""
-    xbar = models.mean(axis=1, keepdims=True)
-    return float(np.sum((models - xbar) ** 2))
+    """sum_i ||x_i - xbar||^2 for models stacked as columns (N x n).
+
+    Reduces in the array's memory order, so the fabrics' worker-major
+    snapshots (an n x N stack seen through a transpose) are never copied
+    into column order.
+    """
+    d = (models - models.mean(axis=1, keepdims=True)).ravel(order="K")
+    return float(d @ d)
 
 
 def second_eigenvalue(mean_matrix: np.ndarray) -> float:

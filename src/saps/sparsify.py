@@ -1,14 +1,14 @@
 """Seed-synchronised Bernoulli masks, masked merge, and the sparse wire codec.
 
-Both endpoints of an exchange regenerate the same mask from the shared
-round seed, so only the selected values travel on the wire, never indices.
+Both endpoints of an exchange derive the same mask from the shared round
+seed, so only the selected values travel on the wire, never indices.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,27 +21,42 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class MaskStream:
-    """Deterministic per-round inclusion bits over model indices 0..n_dims-1."""
+    """Deterministic per-round inclusion bits over model indices 0..n_dims-1.
+
+    Immutable, so one instance can serve the coordinator and every worker of
+    a round: `included` is held as a read-only view and `indices` is
+    read-only too.
+    """
 
     seed: int
     c: int
     n_dims: int
     included: np.ndarray
 
+    def __post_init__(self) -> None:
+        included = self.included.view()
+        included.setflags(write=False)
+        object.__setattr__(self, "included", included)
+
     @cached_property
     def indices(self) -> np.ndarray:
-        return np.nonzero(self.included)[0]
+        idx = np.nonzero(self.included)[0]
+        idx.setflags(write=False)
+        return idx
 
     @property
     def count(self) -> int:
-        return int(self.included.sum())
+        return int(self.indices.size)
 
 
+@lru_cache(maxsize=2, typed=True)  # typed: c=2.0 must not hit c=2's entry past the int check
 def generate_mask(seed: int, c: int, n_dims: int) -> MaskStream:
     """Index j is included iff the j-th SplitMix64 output is below 2**64 // c.
 
     For c = 1 every index is included.  Identical (seed, c, n_dims) give
-    identical masks on every worker and every implementation.
+    identical masks on every worker and every implementation.  The last two
+    masks are cached, so a round's coordinator and workers share one
+    read-only `MaskStream` instead of rebuilding it once each.
     """
     if not isinstance(c, int) or c < 1:
         raise ValidationError(f"compression ratio c must be an integer >= 1, got {c!r}")
@@ -52,7 +67,6 @@ def generate_mask(seed: int, c: int, n_dims: int) -> MaskStream:
     else:
         threshold = np.uint64((1 << 64) // c)
         included = splitmix64_array(seed, n_dims) < threshold
-    included.setflags(write=False)
     return MaskStream(seed & _MASK64, c, n_dims, included)
 
 

@@ -5,7 +5,8 @@ Both fabrics expose the same coordinator-side surface:
     send_to_worker(wid, frame)         deliver a control frame to a worker
     recv_from_workers() -> (wid, msg_type, body)
     request_model(wid) -> np.ndarray   final-model collection
-    snapshot_models() -> np.ndarray    harness instrumentation (N x n)
+    snapshot_models() -> np.ndarray    harness instrumentation: a worker-major
+                                       copy of the models, viewed as (N x n)
     shutdown()
 
 The simulated fabric executes workers inline in rank order, moves real
@@ -54,7 +55,6 @@ class SimFabric:
         if len(workers) != b.n:
             raise ValidationError("worker count does not match bandwidth matrix")
         self.workers = workers
-        self.b = b
         self._starts: dict[int, wire.RoundStart] = {}
         self._inbox: deque[tuple[int, int, bytes]] = deque()
         self.payload_bytes_per_worker = np.zeros(len(workers))
@@ -93,11 +93,6 @@ class SimFabric:
             frame = payloads[peer]
             if frame is None:
                 raise ProtocolError(f"worker {peer} produced no payload for its peer")
-            speed = self.b.speeds[w.rank, peer]
-            if speed <= 0:
-                raise ConfigurationError(
-                    f"pair ({w.rank},{peer}) was matched but has zero bandwidth"
-                )
             self.payload_bytes_per_worker[w.rank] += len(frame)  # received
             self.payload_bytes_per_worker[peer] += len(frame)  # sent
             # counted from the frame's length; finish_round decodes it
@@ -119,7 +114,7 @@ class SimFabric:
         return self.workers[wid].model_frame()
 
     def snapshot_models(self) -> np.ndarray:
-        return np.stack([w.x for w in self.workers], axis=1)
+        return np.stack([w.x for w in self.workers]).T
 
     def shutdown(self) -> None:
         pass
@@ -347,7 +342,7 @@ class TcpFabric:
 
     def snapshot_models(self) -> np.ndarray:
         # Safe at the round barrier: worker threads are blocked on their next read.
-        return np.stack([w.x for w in self.workers], axis=1)
+        return np.stack([w.x for w in self.workers]).T
 
     def shutdown(self) -> None:
         for conn in self._conns.values():

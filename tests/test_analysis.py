@@ -41,6 +41,16 @@ class TestConsensusError:
         assert consensus_error(x) == pytest.approx(2.0)
 
 
+    @pytest.mark.parametrize("shape", [(100_000, 16), (1_000, 128), (10_000, 4), (16, 16)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_column_order_sum(self, shape, transposed):
+        rng = np.random.default_rng(shape[1])
+        x = rng.normal(size=shape[::-1]).T if transposed else rng.normal(size=shape)
+        assert x.shape == shape
+        column_order = np.sum((x - x.mean(axis=1, keepdims=True)) ** 2)
+        assert consensus_error(x) == pytest.approx(column_order, rel=1e-12)
+
+
 class TestSecondEigenvalue:
     def test_rank_one_averaging_matrix(self):
         assert second_eigenvalue(np.full((2, 2), 0.5)) == 0.0

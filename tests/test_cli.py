@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -139,6 +140,27 @@ class TestDeterminism:
         a = run_experiment(ExperimentConfig(master_seed=1, **base))
         b = run_experiment(ExperimentConfig(master_seed=2, **base))
         assert not np.array_equal(a.final_model, b.final_model)
+
+
+class TestGoldenCsv:
+    """Pins the bytes of one fixed-seed run's CSV across commits.
+
+    The digest was taken with the consensus error summed in worker-major
+    order.  A change that moves any CSV byte must say so and update the
+    digest; the loss and consensus columns are BLAS dot products, so a
+    different numpy/BLAS build may also move their last bits.
+    """
+
+    DIGEST = "b3b8a2238a35a4849d37bdcdc8412d5d74108e77ddd84587b9698b2ed9dbfc00"
+
+    def test_fixed_seed_csv_digest_on_both_fabrics(self, tmp_path):
+        base = dict(n=8, N=64, c=4, T=120, T_thres=3, gamma=0.05, master_seed=77)
+        for transport in ("sim", "tcp"):
+            run_experiment(ExperimentConfig(transport=transport, **base),
+                           out_csv=tmp_path / f"{transport}.csv")
+        sim = (tmp_path / "sim.csv").read_bytes()
+        assert (tmp_path / "tcp.csv").read_bytes() == sim
+        assert hashlib.sha256(sim).hexdigest() == self.DIGEST
 
 
 class TestCommandLine:

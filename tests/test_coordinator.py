@@ -239,6 +239,25 @@ class TestBandwidthReportIngestion:
         for rec in coord.records[41:]:
             assert all(coord.b.speeds[i, j] > 0 for i, j in rec.pairs)
 
+    @pytest.mark.parametrize("mode", ["adaptive", "random"])
+    def test_report_revives_a_link_configured_at_zero(self, mode):
+        n = 4
+        raw = np.full((n, n), 5.0)
+        raw[0, 1] = raw[1, 0] = 0.0
+        b = symmetrize_bandwidth(raw)
+        objset = make_quadratic(n, 8, np.random.default_rng(3))
+        workers = [Worker(i, objset.initial_models[i], objset.objectives[i], 0.05, 2, sample_seed=i)
+                   for i in range(n)]
+        coord = Coordinator(b, None, 3, 3, 2, 8, mode)
+        fabric = SimFabric(workers, b)
+        coord.handle_bandwidth_report(wire.BandwidthReport(0, ((1, 9.0),)))
+        coord.handle_bandwidth_report(wire.BandwidthReport(1, ((0, 9.0),)))
+        for _ in range(60):
+            coord.run_round(fabric)
+        assert coord.b.speeds[0, 1] == 9.0
+        if mode == "random":
+            assert any((0, 1) in rec.pairs for rec in coord.records)
+
     def test_report_is_min_symmetrized(self):
         _, coord, _ = build(n=4)
         original = coord.b.speeds[2, 3]

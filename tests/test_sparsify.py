@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saps.core import splitmix64_array
 from saps.errors import ChecksumError, ProtocolError, TruncatedFrameError, ValidationError
 from saps.sparsify import (
     MaskStream,
@@ -30,7 +34,9 @@ class TestGenerateMask:
     @given(seed=U64, c=st.sampled_from([1, 2, 10, 100]), n=st.integers(1, 400))
     @settings(max_examples=100, deadline=None)
     def test_deterministic_across_constructions(self, seed, c, n):
-        a, b = generate_mask(seed, c, n), generate_mask(seed, c, n)
+        a = generate_mask(seed, c, n)
+        generate_mask.cache_clear()
+        b = generate_mask(seed, c, n)
         assert np.array_equal(a.included, b.included)
 
     def test_inclusion_count_concentrates(self):
@@ -47,6 +53,75 @@ class TestGenerateMask:
         n_dims, c, rounds = 4000, 10, 200
         counts = [generate_mask(seed, c, n_dims).count for seed in range(rounds)]
         assert np.mean(counts) == pytest.approx(n_dims / c, rel=0.05)
+
+
+def recomputed(seed, c, n_dims):
+    return splitmix64_array(seed, n_dims) < np.uint64(2**64 // c)
+
+
+class TestSharedMask:
+    def test_repeated_arguments_return_the_same_mask(self):
+        assert generate_mask(31, 10, 500) is generate_mask(31, 10, 500)
+
+    def test_mask_is_read_only(self):
+        mask = generate_mask(32, 4, 100)
+        with pytest.raises(ValueError):
+            mask.included[0] = not mask.included[0]
+        with pytest.raises(ValueError):
+            mask.indices[0] = 1
+
+    def test_handmade_mask_is_read_only_too(self):
+        mask = handmade_mask([1, 0, 1])
+        with pytest.raises(ValueError):
+            mask.included[1] = True
+        with pytest.raises(ValueError):
+            mask.indices[0] = 1
+        assert mask.count == 2
+
+    def test_cache_miss_equals_recomputation(self):
+        generate_mask.cache_clear()
+        mask = generate_mask(2024, 10, 5000)
+        assert generate_mask.cache_info().misses == 1
+        assert np.array_equal(mask.included, recomputed(2024, 10, 5000))
+        assert np.array_equal(mask.indices, np.flatnonzero(mask.included))
+        assert mask.count == int(mask.included.sum())
+
+    def test_other_seed_c_or_length_is_not_confused(self):
+        keys = [(7, 10, 300), (8, 10, 300), (7, 4, 300), (7, 10, 301), (7, 10, 300)]
+        masks = [generate_mask(*key) for key in keys]
+        for (seed, c, n_dims), mask in zip(keys, masks):
+            assert (mask.seed, mask.c, mask.n_dims) == (seed, c, n_dims)
+            assert np.array_equal(mask.included, recomputed(seed, c, n_dims))
+        assert len({m.included.tobytes() for m in masks[:4]}) == 4
+
+    def test_threads_sharing_the_cache_get_correct_masks(self):
+        keys = [(seed, c, 257) for seed in range(6) for c in (2, 3)]
+        expected = {key: recomputed(*key) for key in keys}
+        errors = []
+
+        def hammer(offset):
+            for k in range(300):
+                key = keys[(offset + k) % len(keys)]
+                if not np.array_equal(generate_mask(*key).included, expected[key]):
+                    errors.append(key)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_float_c_is_rejected_after_its_integer_is_cached(self):
+        generate_mask(5, 2, 10)
+        with pytest.raises(ValidationError):
+            generate_mask(5, 2.0, 10)
 
 
 class TestExtractMerge:
