@@ -86,16 +86,18 @@ class SparsePayload:
 def extract_payload(x: ParameterVector, mask: MaskStream, round: int, sender: int) -> SparsePayload:
     if x.shape != (mask.n_dims,):
         raise ValidationError(f"model length {x.shape} does not match mask n_dims {mask.n_dims}")
-    values = np.array(x[mask.indices], dtype=np.float64)
+    values = x[mask.indices].astype(np.float64, copy=False)  # fancy indexing copies
     if not np.all(np.isfinite(values)):
         raise ValidationError("masked values contain non-finite entries")
     return SparsePayload(round, sender, values)
 
 
 def merge_masked(x: ParameterVector, mask: MaskStream, peer: SparsePayload) -> ParameterVector:
-    """Average own and peer values on the masked coordinates, keep the rest.
+    """Average own and peer values on the masked coordinates of `x`, in place.
 
-    A count mismatch signals seed desynchronisation between the peers.
+    Returns `x` itself. A count mismatch signals seed desynchronisation
+    between the peers; it and non-finite peer values raise before `x` is
+    touched.
     """
     if x.shape != (mask.n_dims,):
         raise ValidationError(f"model length {x.shape} does not match mask n_dims {mask.n_dims}")
@@ -106,10 +108,9 @@ def merge_masked(x: ParameterVector, mask: MaskStream, peer: SparsePayload) -> P
         )
     if not np.all(np.isfinite(peer.values)):
         raise ValidationError("peer payload contains non-finite values")
-    out = x.copy()
     idx = mask.indices
-    out[idx] = (x[idx] + peer.values) * 0.5
-    return out
+    x[idx] = (x[idx] + peer.values) * 0.5
+    return x
 
 
 def encode_payload(p: SparsePayload) -> bytes:

@@ -4,10 +4,16 @@ Both fabrics expose the same coordinator-side surface:
 
     send_to_worker(wid, frame)         deliver a control frame to a worker
     recv_from_workers() -> (wid, msg_type, body)
-    request_model(wid) -> np.ndarray   final-model collection
-    snapshot_models() -> np.ndarray    harness instrumentation: a worker-major
-                                       copy of the models, viewed as (N x n)
+    request_model(wid) -> bytes        final-model collection (a MODEL_FULL frame)
+    snapshot_models() -> np.ndarray    harness instrumentation: a read-only
+                                       (N x n) view of the fabric's models
     shutdown()
+
+Each fabric owns one C-ordered (n x N) model matrix. It stacks the workers'
+models once when it is built, before any worker runs, and each `Worker.x`
+becomes row i of it; workers then update their rows in place. So
+`snapshot_models()` is the transpose of that matrix, worker-major in memory,
+and never a copy.
 
 The simulated fabric executes workers inline in rank order, moves real
 encoded frames between them and counts their bytes; the virtual round time
@@ -24,6 +30,7 @@ import socket
 import struct
 import threading
 from collections import deque
+from collections.abc import Callable
 
 import numpy as np
 
@@ -48,6 +55,22 @@ def round_time(match: Matching, payload_bytes: float, b: BandwidthMatrix) -> flo
     return payload_bytes / slowest
 
 
+def _adopt_models(workers: list[Worker]) -> np.ndarray:
+    """Stack the models into one (n x N) matrix and make each `Worker.x` its row.
+
+    Returns the read-only (N x n) transpose that `snapshot_models` hands out.
+    Workers update their rows in place from here on, so the view stays current.
+    """
+    if len({w.n_dims for w in workers}) > 1:
+        raise ValidationError("workers' models differ in length")
+    models = np.stack([w.x for w in workers])
+    for w, row in zip(workers, models):
+        w.x = row
+    snapshot = models.T
+    snapshot.flags.writeable = False
+    return snapshot
+
+
 class SimFabric:
     """Deterministic in-process fabric; workers run inline in rank order."""
 
@@ -55,6 +78,7 @@ class SimFabric:
         if len(workers) != b.n:
             raise ValidationError("worker count does not match bandwidth matrix")
         self.workers = workers
+        self._snapshot = _adopt_models(workers)
         self._starts: dict[int, wire.RoundStart] = {}
         self._inbox: deque[tuple[int, int, bytes]] = deque()
         self.payload_bytes_per_worker = np.zeros(len(workers))
@@ -114,41 +138,44 @@ class SimFabric:
         return self.workers[wid].model_frame()
 
     def snapshot_models(self) -> np.ndarray:
-        return np.stack([w.x for w in self.workers]).T
+        return self._snapshot
 
     def shutdown(self) -> None:
         pass
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    while view:
+        got = sock.recv_into(view)
+        if not got:
             raise TransportError("connection closed mid-frame")
-        buf += chunk
-    return buf
+        view = view[got:]
 
 
-def read_frame(sock: socket.socket, max_payload_len: int) -> bytes | None:
+def read_frame(sock: socket.socket, max_payload_len: int) -> bytearray | None:
     """Read one full frame; None on a clean EOF at a frame boundary.
 
     A header declaring more than `max_payload_len` bytes (see
     `wire.max_payload_len`) is a ProtocolError before any body is read; a
-    socket timeout is a TransportError.
+    socket timeout is a TransportError.  The body is received straight into
+    the frame's buffer, which is allocated once from the declared length.
     """
     try:
-        first = sock.recv(1)
-        if not first:
+        head = bytearray(wire.HEADER_LEN)
+        got = sock.recv_into(head)
+        if not got:
             return None
-        head = first + _recv_exact(sock, wire.HEADER_LEN - 1)
+        _recv_into(sock, memoryview(head)[got:])
         (payload_len,) = struct.unpack_from("<I", head, 6)
         if payload_len > max_payload_len:
             raise ProtocolError(
                 f"frame declares {payload_len} payload bytes; no legal frame exceeds "
                 f"{max_payload_len}"
             )
-        return head + _recv_exact(sock, payload_len)
+        frame = bytearray(wire.HEADER_LEN + payload_len)
+        frame[: wire.HEADER_LEN] = head
+        _recv_into(sock, memoryview(frame)[wire.HEADER_LEN :])
+        return frame
     except TimeoutError as e:
         raise TransportError(f"timed out reading a frame: {e}") from e
 
@@ -165,7 +192,7 @@ def _worker_loop(
     coord_addr: tuple[str, int],
     listener: socket.socket,
     peer_addrs: dict[int, tuple[str, int]],
-    failures: list[BaseException],
+    on_failure: Callable[[Exception], None],
     timeout: float,
 ) -> None:
     try:
@@ -199,8 +226,8 @@ def _worker_loop(
                     raise ProtocolError(f"worker received unexpected msg_type {msg_type}")
         finally:
             coord.close()
-    except BaseException as e:  # surfaced by the fabric on shutdown
-        failures.append(e)
+    except Exception as e:
+        on_failure(e)
 
 
 def _exchange_tcp(
@@ -211,7 +238,7 @@ def _exchange_tcp(
     peer_addrs: dict[int, tuple[str, int]],
     timeout: float,
     limit: int,
-) -> bytes:
+) -> bytearray:
     """Full-duplex payload swap; the lower rank dials, the dialer writes first."""
     if rank < peer:
         conn = socket.create_connection(peer_addrs[peer], timeout=timeout)
@@ -248,10 +275,12 @@ class TcpFabric:
             raise ValidationError("worker count does not match bandwidth matrix")
         self.workers = workers
         self.timeout = timeout
-        self._max_payload_len = wire.max_payload_len(max(w.n_dims for w in workers))
-        self._failures: list[BaseException] = []
-        self._queue: queue.Queue[tuple[int, int, bytes]] = queue.Queue()
-        self._model_replies: queue.Queue[tuple[int, int, bytes]] = queue.Queue()
+        self._snapshot = _adopt_models(workers)  # before any worker thread starts
+        self._max_payload_len = wire.max_payload_len(workers[0].n_dims)
+        self._failures: list[Exception] = []
+        # a None item is a failing thread's wake-up call, see `_fail`
+        self._queue: queue.Queue[tuple[int, int, bytes] | None] = queue.Queue()
+        self._model_replies: queue.Queue[tuple[int, int, bytes] | None] = queue.Queue()
 
         host = "127.0.0.1"
         coord_listeners = []
@@ -270,7 +299,7 @@ class TcpFabric:
             threading.Thread(
                 target=_worker_loop,
                 args=(w, coord_listeners[i].getsockname(), peer_listeners[i], peer_addrs,
-                      self._failures, timeout),
+                      self._fail, timeout),
                 name=f"saps-worker-{w.rank}",
                 daemon=True,
             )
@@ -309,40 +338,51 @@ class TcpFabric:
                     self._queue.put((wid, msg_type, body))
         except (TransportError, OSError):
             return  # socket closed during shutdown
-        except BaseException as e:
-            self._failures.append(e)
+        except Exception as e:
+            self._fail(e)
+
+    def _fail(self, e: Exception) -> None:
+        """Record a worker or reader thread's failure and wake the coordinator.
+
+        The None items make a blocked `recv_from_workers` or `request_model`
+        raise at once instead of waiting out `timeout`.
+        """
+        self._failures.append(e)
+        self._queue.put(None)
+        self._model_replies.put(None)
 
     def _check_failures(self) -> None:
         if self._failures:
-            raise TransportError(f"worker thread failed: {self._failures[0]!r}")
+            e = self._failures[0]
+            raise TransportError(f"worker thread failed: {e!r}") from e
+
+    def _get(self, q: queue.Queue, what: str) -> tuple[int, int, bytes]:
+        self._check_failures()
+        try:
+            item = q.get(timeout=self.timeout)
+        except queue.Empty:
+            raise TransportError(f"no {what} within {self.timeout}s") from None
+        self._check_failures()  # `_fail` records the failure before its None wakes us
+        return item
 
     def send_to_worker(self, wid: int, frame: bytes) -> None:
         self._check_failures()
         send_frame(self._conns[wid], frame)
 
     def recv_from_workers(self) -> tuple[int, int, bytes]:
-        try:
-            item = self._queue.get(timeout=self.timeout)
-        except queue.Empty:
-            self._check_failures()
-            raise TransportError(f"no worker message within {self.timeout}s") from None
-        return item
+        return self._get(self._queue, "worker message")
 
     def request_model(self, wid: int) -> bytes:
         self._check_failures()
         send_frame(self._conns[wid], wire.model_request_frame())
-        try:
-            rid, msg_type, body = self._model_replies.get(timeout=self.timeout)
-        except queue.Empty:
-            self._check_failures()
-            raise TransportError(f"no model reply within {self.timeout}s") from None
+        rid, msg_type, body = self._get(self._model_replies, "model reply")
         if rid != wid:
             raise ProtocolError(f"model reply from worker {rid}, expected {wid}")
         return wire.pack_frame(msg_type, body)
 
     def snapshot_models(self) -> np.ndarray:
-        # Safe at the round barrier: worker threads are blocked on their next read.
-        return np.stack([w.x for w in self.workers]).T
+        # Read it at the round barrier, while worker threads wait on their next read.
+        return self._snapshot
 
     def shutdown(self) -> None:
         for conn in self._conns.values():

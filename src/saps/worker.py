@@ -17,6 +17,13 @@ from .errors import NumericalError, ProtocolError, ValidationError
 
 
 class Worker:
+    """One SAPS-PSGD worker: its model `x`, local objective and round state.
+
+    The SGD step and the merge update `x` in place and never rebind it. Once
+    a fabric adopts the worker, `x` is the worker's row of the fabric's model
+    matrix, so the fabric's `snapshot_models()` view sees every update.
+    """
+
     def __init__(
         self,
         rank: int,
@@ -56,7 +63,7 @@ class Worker:
             raise NumericalError(
                 f"non-finite loss or gradient at worker {self.rank}, round {self.round}"
             )
-        self.x = self.x - self.gamma * grad
+        self.x -= self.gamma * grad
         if not np.all(np.isfinite(self.x)):
             raise NumericalError(f"non-finite model at worker {self.rank}, round {self.round}")
         return float(loss)
@@ -95,7 +102,7 @@ class Worker:
                     f"worker {self.rank}: payload sender {payload.sender} is not the "
                     f"assigned peer {peer_id}"
                 )
-            self.x = sparsify.merge_masked(self.x, mask, payload)
+            sparsify.merge_masked(self.x, mask, payload)
         ack = wire.RoundEnd(self.round, self.rank, loss)
         self.round += 1
         return ack

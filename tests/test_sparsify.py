@@ -149,14 +149,44 @@ class TestExtractMerge:
 
     def test_merge_empty_mask_is_identity(self):
         x = np.array([4.0, 5.0])
+        before = x.copy()
         out = merge_masked(x, handmade_mask([0, 0]), SparsePayload(0, 1, np.empty(0)))
-        assert np.array_equal(out, x)
+        assert np.array_equal(out, before)
 
     def test_merge_fixed_point(self):
         x = np.array([1.0, 2.0, 3.0])
+        before = x.copy()
         mask = handmade_mask([1, 1, 0])
         p = extract_payload(x, mask, 0, 1)
-        assert np.array_equal(merge_masked(x, mask, p), x)
+        assert np.array_equal(merge_masked(x, mask, p), before)
+
+    def test_merge_updates_and_returns_the_given_vector(self):
+        x = np.array([1.0, 3.0, 5.0])
+        out = merge_masked(x, handmade_mask([1, 0, 1]), SparsePayload(0, 1, np.array([3.0, 1.0])))
+        assert out is x
+        assert x.tolist() == [2.0, 3.0, 3.0]
+
+    def test_count_mismatch_leaves_the_model_untouched(self):
+        x = np.array([1.0, 2.0, 3.0])
+        before = x.copy()
+        with pytest.raises(ProtocolError):
+            merge_masked(x, handmade_mask([1, 1, 0]), SparsePayload(0, 1, np.ones(1)))
+        assert x.tobytes() == before.tobytes()
+
+    def test_nonfinite_peer_values_leave_the_model_untouched(self):
+        x = np.array([2.0, 4.0])
+        before = x.copy()
+        with pytest.raises(ValidationError):
+            merge_masked(x, handmade_mask([1, 1]), SparsePayload(0, 1, np.array([1.0, np.inf])))
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bits", [[1, 0, 1], [1, 1, 1]])
+    def test_payload_does_not_alias_the_model(self, bits):
+        # fancy indexing copies, even when the mask selects every index
+        x = np.array([1.0, 2.0, 3.0])
+        p = extract_payload(x, handmade_mask(bits), 0, 0)
+        assert p.values.dtype == np.float64
+        assert not np.shares_memory(p.values, x)
 
     def test_count_mismatch_is_protocol_error(self):
         with pytest.raises(ProtocolError, match="out of sync"):
@@ -182,15 +212,16 @@ class TestExtractMerge:
     def test_pair_sums_conserved_on_masked_coordinates(self, seed, c, n, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32)))
         x, y = rng.normal(size=n), rng.normal(size=n)
+        x0, y0 = x.copy(), y.copy()
         mask = generate_mask(seed, c, n)
         px = extract_payload(x, mask, 0, 0)
         py = extract_payload(y, mask, 0, 1)
         x2 = merge_masked(x, mask, py)
         y2 = merge_masked(y, mask, px)
-        np.testing.assert_allclose(x2 + y2, x + y, atol=1e-12)
+        np.testing.assert_allclose(x2 + y2, x0 + y0, atol=1e-12)
         # untouched coordinates are bit-identical
         keep = ~mask.included
-        assert np.array_equal(x2[keep], x[keep])
+        assert np.array_equal(x2[keep], x0[keep])
 
 
 class TestCodec:

@@ -8,6 +8,7 @@ import pytest
 
 from saps import sparsify, wire
 from saps.cli import ExperimentConfig, run_experiment
+from saps.coordinator import Coordinator
 from saps.core import Matching, symmetrize_bandwidth
 from saps.errors import ConfigurationError, ProtocolError, TransportError
 from saps.objectives import QuadraticObjective
@@ -138,15 +139,21 @@ class TestBackendEquivalence:
         assert res.records[-1].cum_time == pytest.approx(deltas.sum())
 
 
+def _quadratic_workers(n, n_dims, seed, c=1):
+    rng = np.random.default_rng(seed)
+    return [
+        Worker(i, rng.normal(size=n_dims), QuadraticObjective(rng.normal(size=n_dims)), 0.1, c, i)
+        for i in range(n)
+    ]
+
+
 class TestSnapshotModels:
+    """Each fabric keeps one (n, N) model matrix; the snapshot is a view of it."""
+
     @pytest.mark.parametrize("fabric_cls", [SimFabric, TcpFabric])
-    def test_worker_major_copy_viewed_as_columns(self, fabric_cls):
+    def test_read_only_view_of_the_workers_models(self, fabric_cls):
         n, n_dims = 4, 10
-        rng = np.random.default_rng(8)
-        workers = [
-            Worker(i, rng.normal(size=n_dims), QuadraticObjective(np.zeros(n_dims)), 0.1, 1, i)
-            for i in range(n)
-        ]
+        workers = _quadratic_workers(n, n_dims, 8)
         fabric = fabric_cls(workers, symmetrize_bandwidth(np.full((n, n), 5.0)))
         try:
             snap = fabric.snapshot_models()
@@ -154,9 +161,29 @@ class TestSnapshotModels:
             fabric.shutdown()
         assert snap.shape == (n_dims, n)
         assert np.array_equal(snap, np.stack([w.x for w in workers], axis=1))
-        assert snap.T.flags.c_contiguous  # one memcpy per worker, no strided copy
-        snap[0, 0] += 1.0
-        assert workers[0].x[0] != snap[0, 0]  # a copy, not the workers' own vectors
+        assert snap.T.flags.c_contiguous  # worker-major in memory
+        with pytest.raises(ValueError):
+            snap[0, 0] = 1.0
+        assert all(np.shares_memory(w.x, snap) for w in workers)
+
+    @pytest.mark.parametrize("fabric_cls", [SimFabric, TcpFabric])
+    def test_view_follows_thirty_rounds(self, fabric_cls):
+        # a worker that rebound `x` instead of updating it would leave the view behind
+        n, n_dims = 4, 64
+        workers = _quadratic_workers(n, n_dims, 9, c=4)
+        b = symmetrize_bandwidth(np.full((n, n), 5.0))
+        coord = Coordinator(b, 0.0, 3, 17, 4, n_dims)
+        fabric = fabric_cls(workers, b)
+        try:
+            snap = fabric.snapshot_models()
+            before = snap.copy()
+            for _ in range(30):
+                coord.run_round(fabric)
+        finally:
+            fabric.shutdown()
+        assert not np.array_equal(snap, before)
+        assert np.array_equal(snap, np.stack([w.x for w in workers], axis=1))
+        assert all(np.shares_memory(w.x, snap) for w in workers)
 
 
 class TestTcpFabricErrors:
@@ -172,8 +199,10 @@ class TestTcpFabricErrors:
             # a ROUND_START for the wrong round makes the worker loop fail
             bad = wire.encode_round_start(wire.RoundStart(7, 1, None, 0))
             fabric.send_to_worker(0, bad)
-            with pytest.raises(Exception):
+            start = time.perf_counter()
+            with pytest.raises(TransportError, match="ProtocolError.*expected round 0"):
                 fabric.recv_from_workers()
+            assert time.perf_counter() - start < 1.0  # not the 5 s fabric timeout
         finally:
             try:
                 fabric.shutdown()
