@@ -42,15 +42,27 @@ class SpectralEstimate:
     std_error: float
 
 
+# coordinates per pass of `consensus_error`: an (n x block) slice of a
+# 16-worker model matrix and its deviations stay in the CPU caches
+_CONSENSUS_BLOCK = 4096
+
+
 def consensus_error(models: np.ndarray) -> float:
     """sum_i ||x_i - xbar||^2 for models stacked as columns (N x n).
 
-    Reduces in the array's memory order, so the fabrics' worker-major
-    snapshots (an n x N stack seen through a transpose) are never copied
-    into column order.
+    Walks the coordinates in blocks of 4096 and sums the blocks' squared
+    deviations in block order; within a block the sum runs in the array's
+    memory order, so the fabrics' worker-major snapshots (an n x N stack seen
+    through a transpose) are never copied into column order. With N <= 4096
+    this is the one-pass sum over all coordinates, bit for bit.
     """
-    d = (models - models.mean(axis=1, keepdims=True)).ravel(order="K")
-    return float(d @ d)
+    rows = models.T
+    total = 0.0
+    for start in range(0, rows.shape[1], _CONSENSUS_BLOCK):
+        blk = rows[:, start : start + _CONSENSUS_BLOCK]
+        d = (blk - blk.mean(axis=0)).ravel(order="K")
+        total += float(d @ d)
+    return total
 
 
 def second_eigenvalue(mean_matrix: np.ndarray) -> float:

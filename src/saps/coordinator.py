@@ -248,7 +248,12 @@ class Coordinator:
         while len(barrier.acked) < self.n:
             wid, msg_type, body = fabric.recv_from_workers()
             if msg_type == wire.MSG_ROUND_END:
-                self.note_round_end(barrier, wire.decode_round_end(body))
+                ack = wire.decode_round_end(body)
+                if ack.worker_id != wid:
+                    raise ProtocolError(
+                        f"ROUND_END from worker {wid} claims to be from worker {ack.worker_id}"
+                    )
+                self.note_round_end(barrier, ack)
             elif msg_type == wire.MSG_BANDWIDTH_REPORT:
                 self.handle_bandwidth_report(wire.decode_bandwidth_report(body, wid))
             else:

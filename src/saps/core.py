@@ -62,16 +62,23 @@ def splitmix64_array(seed: int, count: int) -> np.ndarray:
     """First ``count`` outputs of ``SplitMix64(seed)`` as a uint64 array.
 
     Vectorised but bit-identical to the scalar stream: output i uses
-    state = seed + (i+1) * GAMMA mod 2**64.
+    state = seed + (i+1) * GAMMA mod 2**64. Computed in place in one buffer
+    plus one reused shift temporary.
     """
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    state = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)  # the states
+    shifted = z >> np.uint64(30)
+    z ^= shifted
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

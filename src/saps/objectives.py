@@ -5,6 +5,11 @@ f(x) = (1/n) sum_i E_xi F_i(x; xi): a quadratic with a closed-form optimum,
 regularised binary logistic regression on Gaussian clusters, and a small
 one-hidden-layer tanh network.  Each worker holds one shard and evaluates
 mini-batch losses and gradients on it.
+
+`loss_and_grad(x, rng)` returns `(loss, grad)` with `grad` a fresh, writable
+float64 array of `x`'s shape that shares no memory with `x` or with the
+objective's own arrays.  The caller owns it and may overwrite it:
+`Worker.local_sgd_step` scales it in place by the learning rate.
 """
 
 from __future__ import annotations

@@ -63,7 +63,8 @@ class Worker:
             raise NumericalError(
                 f"non-finite loss or gradient at worker {self.rank}, round {self.round}"
             )
-        self.x -= self.gamma * grad
+        grad *= self.gamma  # the objective hands over a fresh gradient; no temporary
+        self.x -= grad
         if not np.all(np.isfinite(self.x)):
             raise NumericalError(f"non-finite model at worker {self.rank}, round {self.round}")
         return float(loss)

@@ -40,7 +40,6 @@ class TestConsensusError:
         x = np.array([[1.0, -1.0]])  # xbar = 0, e = 1 + 1
         assert consensus_error(x) == pytest.approx(2.0)
 
-
     @pytest.mark.parametrize("shape", [(100_000, 16), (1_000, 128), (10_000, 4), (16, 16)])
     @pytest.mark.parametrize("transposed", [False, True])
     def test_matches_column_order_sum(self, shape, transposed):
@@ -49,6 +48,36 @@ class TestConsensusError:
         assert x.shape == shape
         column_order = np.sum((x - x.mean(axis=1, keepdims=True)) ** 2)
         assert consensus_error(x) == pytest.approx(column_order, rel=1e-12)
+
+    @staticmethod
+    def models(n_dims, transposed):
+        """16 random models as (N, n) columns: worker-major (the fabrics'
+        snapshot view) or C-ordered (what `measure_contraction` passes)."""
+        rng = np.random.default_rng(n_dims)
+        return rng.normal(size=(16, n_dims)).T if transposed else rng.normal(size=(n_dims, 16))
+
+    @staticmethod
+    def one_pass(x):
+        d = (x - x.mean(axis=1, keepdims=True)).ravel(order="K")
+        return float(d @ d)
+
+    @pytest.mark.parametrize("n_dims", [1, 4095, 4096])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_one_block_equals_the_one_pass_sum_bit_for_bit(self, n_dims, transposed):
+        x = self.models(n_dims, transposed)
+        assert consensus_error(x) == self.one_pass(x)
+
+    @pytest.mark.parametrize("n_dims", [4097, 8193, 100_000])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_blocks_agree_with_the_one_pass_sum(self, n_dims, transposed):
+        x = self.models(n_dims, transposed)
+        assert consensus_error(x) == pytest.approx(self.one_pass(x), rel=1e-12)
+
+    def test_identical_models_give_exactly_zero_across_blocks(self):
+        # eighths of small integers: 16 copies sum and divide back exactly
+        x = np.tile(np.random.default_rng(5).integers(-999, 1000, size=(100_000, 1)) / 8.0, (1, 16))
+        assert consensus_error(x) == 0.0
+        assert consensus_error(np.ascontiguousarray(x.T).T) == 0.0
 
 
 class TestSecondEigenvalue:

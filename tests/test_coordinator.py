@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,26 @@ class TestRunRound:
         _, coord, _ = build(n=2)
         with pytest.raises(ProtocolError, match="unknown"):
             coord.note_round_end(BarrierState(0), wire.RoundEnd(0, 9, 0.5))
+
+    def test_ack_naming_another_worker_is_blamed_on_its_sender(self):
+        # worker 0's connection carries an ack that claims to be worker 1's
+        _, coord, fabric = build(n=4)
+        fabric.inject_frame(0, wire.encode_round_end(wire.RoundEnd(0, 1, 0.0)))
+        with pytest.raises(ProtocolError, match="from worker 0 claims to be from worker 1"):
+            coord.run_round(fabric)
+
+    def test_ack_naming_another_worker_is_blamed_on_its_sender_over_tcp(self):
+        from saps.transport import TcpFabric
+
+        workers, coord, _ = build(n=2)
+        honest = workers[0].finish_round
+        workers[0].finish_round = lambda frame: dataclasses.replace(honest(frame), worker_id=1)
+        fabric = TcpFabric(workers, coord.b, timeout=10)
+        try:
+            with pytest.raises(ProtocolError, match="from worker 0 claims to be from worker 1"):
+                coord.run_round(fabric)
+        finally:
+            fabric.shutdown()
 
     def test_reproducible_matchings_and_seeds(self):
         _, coord_a, fabric_a = build(seed=77)

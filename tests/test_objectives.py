@@ -14,6 +14,7 @@ from saps.objectives import (
     make_mlp,
     make_quadratic,
 )
+from saps.worker import Worker
 
 
 class TestQuadratic:
@@ -140,6 +141,43 @@ class TestSigmoidSaturation:
             loss, grad = o.loss_and_grad(theta, np.random.default_rng(0))
         assert loss == 0.0
         assert not grad.any()
+
+
+class TestGradientOwnership:
+    """`loss_and_grad` hands over a fresh gradient that the caller may overwrite."""
+
+    @staticmethod
+    def objective(family):
+        rng = np.random.default_rng(21)
+        if family == "quadratic":
+            objset = make_quadratic(2, 12, rng)
+        elif family == "logistic":
+            objset = make_logistic(2, 40, 12, "iid", rng)
+        else:
+            objset = make_mlp(2, 40, 4, 3, "iid", rng)
+        return objset.objectives[0], objset.initial_models[0]
+
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "mlp"])
+    def test_gradient_shares_no_memory(self, family):
+        o, x = self.objective(family)
+        _, grad = o.loss_and_grad(x, np.random.default_rng(0))
+        assert grad.dtype == np.float64 and grad.shape == x.shape and grad.flags.writeable
+        owned = [v for v in vars(o).values() if isinstance(v, np.ndarray)]
+        if hasattr(o, "shard"):
+            owned += [o.shard.features, o.shard.labels]
+        assert owned
+        for a in [x, *owned]:
+            assert not np.shares_memory(grad, a)
+
+    @pytest.mark.parametrize("family", ["quadratic", "logistic", "mlp"])
+    def test_one_sgd_step_is_x0_minus_gamma_grad(self, family):
+        o, x0 = self.objective(family)
+        gamma = 0.3
+        # the worker's mini-batch generator is default_rng(sample_seed)
+        _, grad = o.loss_and_grad(x0, np.random.default_rng(7))
+        w = Worker(0, x0, o, gamma, 1, sample_seed=7)
+        w.local_sgd_step()
+        assert np.array_equal(w.x, x0 - gamma * grad)
 
 
 def test_empty_shard_rejected():
