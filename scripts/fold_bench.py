@@ -58,12 +58,10 @@ def fold(label: str, paths: list[Path]) -> dict:
             entry["values"].append(m["value"])
             entry["seeds"].append(rec["seed"])
     for w in workloads.values():
-        for name, entry in w["metrics"].items():
-            values = entry.pop("values")
-            w["metrics"][name] = {"unit": entry["unit"], **summarise(values),
-                                  "runs": len(values), "seeds": entry["seeds"]}
-    return {"label": label, "git_rev": revs.pop() if revs else None,
-            "workloads": dict(sorted(workloads.items()))}
+        w["metrics"] = {name: {"unit": e["unit"], **summarise(e["values"]),
+                               "runs": len(e["values"]), "seeds": e["seeds"]}
+                        for name, e in w["metrics"].items()}
+    return {"label": label, "git_rev": revs.pop(), "workloads": dict(sorted(workloads.items()))}
 
 
 def main(argv: list[str] | None = None) -> None:
