@@ -36,10 +36,8 @@ from .core import (
 )
 from .matching import (
     AdaptiveSelector,
-    Graph,
     RandomSelector,
     RingSelector,
-    generate_gossip_matrix,
     get_over_time_matrix,
     get_unmatch,
     if_connected,

@@ -176,11 +176,6 @@ class Coordinator:
         self.model_values_received = 0
         self._wtw_sum = np.zeros((self.n, self.n))
 
-    @property
-    def b_star(self) -> AdjacencyMatrix:
-        """The adaptive selector's threshold graph B*."""
-        return self.selector.b_star
-
     def plan_round(self) -> RoundPlan:
         seed = self._seed_stream.next_u64()
         gossip, matching = self.selector.next_round()

@@ -10,6 +10,7 @@ immutable after construction: the backing arrays are frozen, and updates
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -153,6 +154,20 @@ class AdjacencyMatrix:
             e[i, j] = e[j, i] = True
         np.fill_diagonal(e, False)
         return cls(e)
+
+    @cached_property  # stored in the instance __dict__, past the frozen __setattr__
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        e = self.edges
+        flat = np.nonzero(e)[1].tolist()
+        out, start = [], 0
+        for deg in e.sum(axis=1).tolist():
+            out.append(tuple(flat[start:start + deg]))
+            start += deg
+        return tuple(out)
+
+    def neighbor_lists(self) -> list[list[int]]:
+        """Fresh, mutable neighbour lists in ascending order (built once per matrix)."""
+        return [list(nbrs) for nbrs in self._neighbors]
 
 
 @dataclass(frozen=True)

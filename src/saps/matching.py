@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -24,34 +23,6 @@ from .core import (
     TimestampMatrix,
 )
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    adjacency: AdjacencyMatrix
-
-    def __post_init__(self) -> None:
-        if self.adjacency.n != self.n:
-            raise ValidationError("adjacency size does not match n")
-
-    @classmethod
-    def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n, AdjacencyMatrix.from_pairs(n, pairs))
-
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        e = self.adjacency.edges
-        flat = np.nonzero(e)[1].tolist()
-        out, start = [], 0
-        for deg in e.sum(axis=1).tolist():
-            out.append(tuple(flat[start:start + deg]))
-            start += deg
-        return tuple(out)
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Fresh, mutable neighbour lists in ascending order (built once per graph)."""
-        return [list(nbrs) for nbrs in self._neighbors]
 
 
 def _augmenting_pass(n: int, adj: Sequence[Sequence[int]], match: list[int], root: int) -> bool:
@@ -118,7 +89,9 @@ def _augmenting_pass(n: int, adj: Sequence[Sequence[int]], match: list[int], roo
     return False
 
 
-def _max_matching_order(g: Graph, order: Sequence[int], adj: Sequence[Sequence[int]]) -> Matching:
+def _max_matching_order(
+    g: AdjacencyMatrix, order: Sequence[int], adj: Sequence[Sequence[int]]
+) -> Matching:
     n = g.n
     match = [-1] * n
     # greedy seed: cheap, and already maximum on dense graphs
@@ -138,7 +111,7 @@ def _max_matching_order(g: Graph, order: Sequence[int], adj: Sequence[Sequence[i
     return Matching.from_pairs(n, {(v, u) for v, u in enumerate(match) if u > v})
 
 
-def max_matching(g: Graph) -> Matching:
+def max_matching(g: AdjacencyMatrix) -> Matching:
     """Maximum-cardinality matching (deterministic processing order)."""
     return _max_matching_order(g, range(g.n), g.neighbor_lists())
 
@@ -174,7 +147,7 @@ def shuffle_lists(lists: Sequence[list], rng: random.Random) -> None:
             x[i], x[j] = x[j], x[i]
 
 
-def randomly_max_match(g: Graph, rng: random.Random) -> Matching:
+def randomly_max_match(g: AdjacencyMatrix, rng: random.Random) -> Matching:
     """Maximum-cardinality matching under a uniformly random vertex order.
 
     Both the root processing order and every neighbour list are permuted, so
@@ -248,66 +221,14 @@ def get_unmatch(b: BandwidthMatrix, m: Matching) -> AdjacencyMatrix:
     return AdjacencyMatrix(e)
 
 
-def _live(b_star: AdjacencyMatrix, b: BandwidthMatrix) -> Graph:
-    """B* less the links whose current speed is 0."""
-    return Graph(b.n, AdjacencyMatrix(b_star.edges & (b.speeds > 0)))
-
-
-def _select(
-    b: BandwidthMatrix,
-    b_star: Graph,
-    r: TimestampMatrix,
-    t_thres: int,
-    t: int,
-    rng: random.Random,
-) -> Matching:
-    """One round's matching (see generate_gossip_matrix) on the live B*."""
-    n = b_star.n
-    if if_connected(r, t_thres, t):
-        candidates = b_star
-    else:
-        candidates = Graph(n, get_over_time_matrix(r, b.positive_edges(), t_thres, t))
-
-    match = randomly_max_match(candidates, rng)
-    if len(match) < n // 2:
-        fallback = get_unmatch(b, match)
-        extra = randomly_max_match(Graph(n, fallback), rng)
-        match = Matching.from_pairs(n, match.pairs | extra.pairs)
-    return match
-
-
-def generate_gossip_matrix(
-    b: BandwidthMatrix,
-    b_star: AdjacencyMatrix,
-    r: TimestampMatrix,
-    t_thres: int,
-    n: int,
-    t: int,
-    rng: random.Random,
-) -> tuple[GossipMatrix, Matching]:
-    """One round of peer selection.
-
-    If the recently-connected graph is still connected, match on the
-    bandwidth-filtered graph B*; otherwise match on bridging edges that join
-    the stale components.  Workers left over after the first match get a
-    second randomised match over the full positive-bandwidth graph.  No link
-    whose speed in `b` is 0 is matched, B*'s included.  The caller owns the
-    timestamp matrix and records the matched pairs at round t.
-    """
-    if n < 2:
-        raise ValidationError(f"need at least 2 workers, got {n}")
-    if b.n != n or b_star.n != n or r.n != n:
-        raise ValidationError("matrix sizes do not match n")
-    match = _select(b, _live(b_star, b), r, t_thres, t, rng)
-    return GossipMatrix.from_matching(match), match
-
-
 class AdaptiveSelector:
-    """Stateful generate_gossip_matrix; owns R and the round clock.
+    """Adaptive peer selection (the paper's GenerateGossipMatrix); owns R and
+    the round clock.
 
-    The live B*'s neighbour lists are built once per `b`.  R is a private
-    int64 array updated in place; `_r_view` is a read-only TimestampMatrix
-    over it, validated once, which the connectivity and bridging steps read.
+    The live B* (B* less the links whose current speed is 0) and its
+    neighbour lists are built once per `b`.  R is a private int64 array
+    updated in place; `_r_view` is a read-only TimestampMatrix over it,
+    validated once, which the connectivity and bridging steps read.
     `b` may be replaced between rounds (the coordinator does so after a
     bandwidth report); B* is fixed, but a link leaves the live B* while its
     speed in `b` is 0.
@@ -345,7 +266,7 @@ class AdaptiveSelector:
     @b.setter
     def b(self, b: BandwidthMatrix) -> None:
         self._b = b
-        self._b_live = _live(self.b_star, b)
+        self._b_live = AdjacencyMatrix(self.b_star.edges & (b.speeds > 0))
 
     @property
     def r(self) -> TimestampMatrix:
@@ -357,8 +278,24 @@ class AdaptiveSelector:
         return 10 * self.t_thres
 
     def next_round(self) -> tuple[GossipMatrix, Matching]:
-        t = self.t
-        match = _select(self._b, self._b_live, self._r_view, self.t_thres, t, self.rng)
+        """One round of peer selection.
+
+        If the recently-connected graph is still connected, match on the live
+        B*; otherwise match on bridging edges that join the stale components.
+        Workers left over after the first match get a second randomised match
+        over the positive-bandwidth links among them.  No link whose speed in
+        `b` is 0 is matched, B*'s included.  R records the matched pairs at
+        round t.
+        """
+        t, b, r_view = self.t, self._b, self._r_view
+        if if_connected(r_view, self.t_thres, t):
+            candidates = self._b_live
+        else:
+            candidates = get_over_time_matrix(r_view, b.positive_edges(), self.t_thres, t)
+        match = randomly_max_match(candidates, self.rng)
+        if len(match) < b.n // 2:
+            extra = randomly_max_match(get_unmatch(b, match), self.rng)
+            match = Matching.from_pairs(b.n, match.pairs | extra.pairs)
         r = self._r
         for i, j in match.pairs:
             r[i, j] = r[j, i] = t
@@ -388,7 +325,7 @@ class RandomSelector:
     @b.setter
     def b(self, b: BandwidthMatrix) -> None:
         self._b = b
-        self.graph = Graph(b.n, b.positive_edges())
+        self.graph = b.positive_edges()
 
     def next_round(self) -> tuple[GossipMatrix, Matching]:
         m = randomly_max_match(self.graph, self.rng)

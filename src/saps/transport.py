@@ -131,10 +131,6 @@ class SimFabric:
             self._inbox.append((w.rank, msg_type, body))
 
     def request_model(self, wid: int) -> bytes:
-        request = wire.model_request_frame()
-        msg_type, body = wire.parse_frame(request)
-        if not wire.decode_model_full(body).is_request:
-            raise ProtocolError("malformed model request")
         return self.workers[wid].model_frame()
 
     def snapshot_models(self) -> np.ndarray:
@@ -392,6 +388,10 @@ class TcpFabric:
                 pass
             conn.close()
         for pl in self._peer_listeners:
+            try:  # wakes a worker thread blocked in accept()
+                pl.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             pl.close()
         for t in self._threads:
             t.join(timeout=self.timeout)

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import analysis, sparsify
 from .coordinator import CostModelInput, comm_cost, make_selector
-from .core import GossipMatrix, symmetrize_bandwidth
+from .core import AdjacencyMatrix, GossipMatrix, symmetrize_bandwidth
 from .errors import InvariantViolation, ProtocolError
-from .matching import AdaptiveSelector, Graph, max_matching, randomly_max_match
+from .matching import AdaptiveSelector, max_matching, randomly_max_match
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def check_matching_oracle(n_graphs: int = 200) -> CheckResult:
             n = int(rng.integers(2, 11))
             p = float(rng.choice([0.2, 0.5, 0.8]))
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-            g = Graph.from_edges(n, edges)
+            g = AdjacencyMatrix.from_pairs(n, edges)
             want = brute_force_matching_size(n, edges)
             got = len(max_matching(g))
             got_rand = len(randomly_max_match(g, rand))
@@ -126,7 +126,7 @@ def check_lemma_identity(n_instances: int = 1000) -> CheckResult:
             a = rng.normal(size=(n_dims, n))
             mask = sparsify.generate_mask(int(rng.integers(1 << 62)), int(rng.choice([1, 2, 4])), n_dims)
             m = np.repeat(mask.included[:, None], n, axis=1).astype(float)
-            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+            g = AdjacencyMatrix.from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
             w = GossipMatrix.from_matching(randomly_max_match(g, rand)).weights
             lhs = (a * m) @ w
             rhs = (a @ w) * m

@@ -210,12 +210,12 @@ class TestCollectFinalModel:
 class TestBandwidthReportIngestion:
     def test_report_updates_b_but_not_bstar(self):
         _, coord, fabric = build(n=4)
-        before_star = coord.b_star.edges.copy()
+        before_star = coord.selector.b_star.edges.copy()
         report = wire.encode_bandwidth_report([(1, 0.5)])
         fabric.inject_frame(0, report)
         coord.run_round(fabric)
         assert coord.b.speeds[0, 1] == 0.5 == coord.b.speeds[1, 0]
-        assert np.array_equal(coord.b_star.edges, before_star)
+        assert np.array_equal(coord.selector.b_star.edges, before_star)
 
     def test_invalid_peer_rejected(self):
         _, coord, _ = build(n=4)

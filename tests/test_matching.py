@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saps.core import Matching, TimestampMatrix, symmetrize_bandwidth
+from saps.core import AdjacencyMatrix, Matching, TimestampMatrix, symmetrize_bandwidth
 from saps.coordinator import get_new_connected_graph
 from saps.errors import ValidationError
 from saps.matching import (
     AdaptiveSelector,
-    Graph,
     RandomSelector,
     RingSelector,
-    generate_gossip_matrix,
     get_over_time_matrix,
     get_unmatch,
     if_connected,
@@ -24,7 +22,7 @@ from saps.verify import brute_force_matching_size
 
 
 def complete_graph(n):
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return AdjacencyMatrix.from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def uniform_bandwidth(n, seed, lo=1.0, hi=10.0):
@@ -38,13 +36,13 @@ class TestMaxMatching:
         assert len(m) == 2 and not m.unmatched
 
     def test_odd_path(self):
-        m = max_matching(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        m = max_matching(AdjacencyMatrix.from_pairs(3, [(0, 1), (1, 2)]))
         assert len(m) == 1 and len(m.unmatched) == 1
 
     def test_five_cycle_cardinality_two(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
         assert brute_force_matching_size(5, edges) == 2  # the frozen oracle value
-        assert len(max_matching(Graph.from_edges(5, edges))) == 2
+        assert len(max_matching(AdjacencyMatrix.from_pairs(5, edges))) == 2
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -54,20 +52,20 @@ class TestMaxMatching:
         seed = data.draw(st.integers(0, 1 << 32))
         rng = np.random.default_rng(seed)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        g = Graph.from_edges(n, edges)
+        g = AdjacencyMatrix.from_pairs(n, edges)
         want = brute_force_matching_size(n, edges)
         assert len(max_matching(g)) == want
         assert len(randomly_max_match(g, random.Random(seed))) == want
 
     def test_blossom_odd_cycle_with_stem(self):
         # triangle 0-1-2 plus stem 2-3: must match both pairs
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        g = AdjacencyMatrix.from_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert len(max_matching(g)) == 2
 
 
 class TestRandomlyMaxMatch:
     def test_four_cycle_hits_both_pairings(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        g = AdjacencyMatrix.from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         rng = random.Random(99)
         counts = {frozenset({(0, 1), (2, 3)}): 0, frozenset({(1, 2), (0, 3)}): 0}
         trials = 10_000
@@ -77,13 +75,13 @@ class TestRandomlyMaxMatch:
             assert 0.4 <= counts[k] / trials <= 0.6
 
     def test_single_edge_always_taken(self):
-        g = Graph.from_edges(2, [(0, 1)])
+        g = AdjacencyMatrix.from_pairs(2, [(0, 1)])
         rng = random.Random(1)
         for _ in range(20):
             assert randomly_max_match(g, rng).pairs == {(0, 1)}
 
     def test_empty_graph_leaves_all_unmatched(self):
-        m = randomly_max_match(Graph.from_edges(4, []), random.Random(0))
+        m = randomly_max_match(AdjacencyMatrix.from_pairs(4, []), random.Random(0))
         assert not m.pairs and m.unmatched == {0, 1, 2, 3}
 
 
@@ -108,7 +106,7 @@ class TestRecentlyConnected:
 class TestBridging:
     def test_cross_component_edges_only(self):
         r = TimestampMatrix.initial(4, 3).with_pairs([(0, 1), (2, 3)], t=10)
-        avail = complete_graph(4).adjacency
+        avail = complete_graph(4)
         e = get_over_time_matrix(r, avail, 3, 10)
         want = {(0, 2), (0, 3), (1, 2), (1, 3)}
         got = {(i, j) for i in range(4) for j in range(i + 1, 4) if e.edges[i, j]}
@@ -116,13 +114,13 @@ class TestBridging:
 
     def test_all_singletons_offer_every_available_edge(self):
         r = TimestampMatrix.initial(4, 3)
-        avail = complete_graph(4).adjacency
+        avail = complete_graph(4)
         e = get_over_time_matrix(r, avail, 3, 0)
         assert np.array_equal(e.edges, avail.edges)
 
     def test_respects_availability(self):
         r = TimestampMatrix.initial(4, 3).with_pairs([(0, 1), (2, 3)], t=10)
-        avail = Graph.from_edges(4, [(0, 2)]).adjacency  # only one positive link
+        avail = AdjacencyMatrix.from_pairs(4, [(0, 2)])  # only one positive link
         e = get_over_time_matrix(r, avail, 3, 10)
         assert {(i, j) for i in range(4) for j in range(i + 1, 4) if e.edges[i, j]} == {(0, 2)}
 
@@ -145,29 +143,25 @@ class TestGetUnmatch:
 
 
 class TestGenerateGossipMatrix:
+    """One round of the paper's GenerateGossipMatrix: AdaptiveSelector.next_round."""
+
     def test_two_workers_forced_pair(self):
         b = symmetrize_bandwidth(np.array([[0.0, 5.0], [5.0, 0.0]]))
-        w, m = generate_gossip_matrix(
-            b, b.positive_edges(), TimestampMatrix.initial(2, 3), 3, 2, 0, random.Random(0)
-        )
+        w, m = AdaptiveSelector(b, b.positive_edges(), 3, random.Random(0)).next_round()
         assert m.pairs == {(0, 1)}
         assert np.array_equal(w.weights, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_even_n_complete_graph_matches_everyone(self):
         b = uniform_bandwidth(4, 5)
-        r = TimestampMatrix.initial(4, 3)
-        rng = random.Random(7)
-        for t in range(10):
-            w, m = generate_gossip_matrix(b, b.positive_edges(), r, 3, 4, t, rng)
+        sel = AdaptiveSelector(b, b.positive_edges(), 3, random.Random(7))
+        for _ in range(10):
+            w, m = sel.next_round()
             assert len(m) == 2 and not m.unmatched
             w.validate()
-            r = r.with_pairs(m.pairs, t)
 
     def test_odd_n_leaves_one_self_loop(self):
         b = uniform_bandwidth(3, 6)
-        w, m = generate_gossip_matrix(
-            b, b.positive_edges(), TimestampMatrix.initial(3, 3), 3, 3, 0, random.Random(1)
-        )
+        w, m = AdaptiveSelector(b, b.positive_edges(), 3, random.Random(1)).next_round()
         assert len(m) == 1 and len(m.unmatched) == 1
         w.validate()
         lone = next(iter(m.unmatched))
@@ -176,20 +170,22 @@ class TestGenerateGossipMatrix:
     def test_too_few_workers_rejected(self):
         b = symmetrize_bandwidth(np.zeros((1, 1)))
         with pytest.raises(ValidationError):
-            generate_gossip_matrix(
-                b, b.positive_edges(), TimestampMatrix.initial(1, 1), 1, 1, 0, random.Random(0)
-            )
+            AdaptiveSelector(b, b.positive_edges(), 1, random.Random(0))
 
     def test_fallback_fills_in_when_bstar_is_sparse(self):
-        # B* has one edge; remaining workers must still pair via full B
+        # B* has one edge; once the recently-connected graph spans the
+        # workers, the rest must still pair via the full B
         b = uniform_bandwidth(6, 8)
-        b_star = Graph.from_edges(6, [(0, 1)]).adjacency
-        r = TimestampMatrix.initial(6, 2).with_pairs(
-            [(i, j) for i in range(6) for j in range(i + 1, 6)], 0
-        )
-        w, m = generate_gossip_matrix(b, b_star, r, 2, 6, 1, random.Random(3))
-        assert len(m) == 3 and not m.unmatched
-        w.validate()
+        b_star = AdjacencyMatrix.from_pairs(6, [(0, 1)])
+        sel = AdaptiveSelector(b, b_star, 20, random.Random(3))
+        on_bstar = 0
+        for _ in range(40):
+            connected = if_connected(sel.r, sel.t_thres, sel.t)
+            w, m = sel.next_round()
+            assert len(m) == 3 and not m.unmatched
+            w.validate()
+            on_bstar += connected
+        assert on_bstar > 0
 
 
 class TestSelectors:
@@ -200,6 +196,7 @@ class TestSelectors:
         sel = AdaptiveSelector(b, empty_bstar, 4, random.Random(2))
         for _ in range(30):
             _, m = sel.next_round()
+            assert len(m) == 4  # after round 0, through get_unmatch
             for i, j in m.pairs:
                 assert b.speeds[i, j] > 0
 

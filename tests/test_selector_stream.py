@@ -2,9 +2,10 @@
 
 The digests below were computed with the original functional selector
 (`generate_gossip_matrix` followed by `TimestampMatrix.with_pairs` every
-round).  Any optimisation of the peer-selection hot path must reproduce
-them: the same `random.Random` draws, matchings, gossip matrices, mask seeds
-and final timestamp matrix for every seed.
+round); the stateful `AdaptiveSelector` was checked against that function
+round by round when each set was taken.  Any change to the peer-selection
+hot path must reproduce them: the same `random.Random` draws, matchings,
+gossip matrices, mask seeds and final timestamp matrix for every seed.
 """
 
 import hashlib
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from saps.coordinator import Coordinator, get_new_connected_graph
-from saps.core import TimestampMatrix, symmetrize_bandwidth
-from saps.matching import AdaptiveSelector, generate_gossip_matrix, shuffle_lists
+from saps.core import symmetrize_bandwidth
+from saps.matching import AdaptiveSelector, shuffle_lists
 
 ROUNDS = 300
 
@@ -88,34 +89,51 @@ def sparse_network(n, seed, p=0.4):
     return symmetrize_bandwidth(np.maximum(raw, raw.T))
 
 
-@pytest.mark.parametrize(
-    "n,t_thres,seed,dense",
-    [(3, 1, 1, True), (5, 1, 2, True), (7, 2, 3, False), (9, 1, 4, False),
-     (15, 1, 5, True), (17, 3, 6, False), (31, 1, 7, True), (33, 2, 8, False)],
-)
+# (n, t_thres, seed, dense): bridging-heavy runs (small T_thres, odd n,
+# sparse links).  Each digest was taken at the last commit that still had
+# `generate_gossip_matrix`, with the selector asserted equal to it (pairs in
+# iteration order, W, R and the RNG state) at every round.
+GOLDEN_BRIDGING = {
+    (3, 1, 1, True):
+        "9be306c2911abfd73d467f73fbf56e4bb894b88e16f80b8cec6ce76e2032dc05",
+    (5, 1, 2, True):
+        "3178c5bbee2a7485001abb9dc52b3638e1237edb37eb2b952242e16e75b8d1c6",
+    (7, 2, 3, False):
+        "39c6f2894cc492bd629df06bf4b2e711d33f22ec134e1761028aa7f70ffd3870",
+    (9, 1, 4, False):
+        "2b95f64541ed3b7b63ef38fcf83deacf4a4f2e07476e1075bde20a76e89d644c",
+    (15, 1, 5, True):
+        "24be01cc1f8149bb54007404871360ee6ed67634c2662472e8bfeafb71b297da",
+    (17, 3, 6, False):
+        "c06c9fd4ec37e3940246a89ac05a9e19dbc63ab06f4c9d6ef9bcd7b78ce0e09c",
+    (31, 1, 7, True):
+        "1feaa192be4a957e80553e0bf68b531e1f0a12e6b7f4f287e1fe0d6eb5793cf2",
+    (33, 2, 8, False):
+        "ead405abe561a58b2fa001ac3a581236e89e5cf05e1b1665d7da01e767422f7a",
+}
+
+
+@pytest.mark.parametrize("n,t_thres,seed,dense", sorted(GOLDEN_BRIDGING))
 def test_selector_equals_functional_reference(n, t_thres, seed, dense):
-    """Bridging-heavy runs (small T_thres, odd n, sparse links) of the
-    stateful selector against the public one-round function plus
-    `with_pairs`, including a mid-run bandwidth change as the coordinator
-    makes one after a BANDWIDTH_REPORT."""
+    """200 rounds of the stateful selector, including a mid-run bandwidth
+    change as the coordinator makes one after a BANDWIDTH_REPORT, reproduce
+    the functional reference's digest: every round's pairs in iteration order
+    and W, then the RNG's final state and R."""
     b = uniform_network(n, seed)[0] if dense else sparse_network(n, seed)
     b_star = get_new_connected_graph(b, float(np.median(b.speeds[b.speeds > 0])))
     sel = AdaptiveSelector(b, b_star, t_thres, random.Random(seed))
-    ref_rng = random.Random(seed)
-    r = TimestampMatrix.initial(n, t_thres)
-    ref_b = b
+    h = hashlib.sha256()
     for t in range(200):
         if t == 100:
             speeds = b.speeds.copy()
             speeds[0, :] = speeds[:, 0] = 0.0
-            ref_b = sel.b = symmetrize_bandwidth(speeds)
+            sel.b = symmetrize_bandwidth(speeds)
         w, m = sel.next_round()
-        ref_w, ref_m = generate_gossip_matrix(ref_b, b_star, r, t_thres, n, t, ref_rng)
-        r = r.with_pairs(ref_m.pairs, t)
-        assert list(m.pairs) == list(ref_m.pairs)
-        assert np.array_equal(w.weights, ref_w.weights)
-    assert np.array_equal(sel.r.last_round, r.last_round)
-    assert sel.rng.getstate() == ref_rng.getstate()
+        h.update(repr(list(m.pairs)).encode())
+        h.update(w.weights.tobytes())
+    h.update(repr(sel.rng.getstate()).encode())
+    h.update(np.ascontiguousarray(sel.r.last_round, dtype="<i8").tobytes())
+    assert h.hexdigest() == GOLDEN_BRIDGING[(n, t_thres, seed, dense)]
 
 
 def test_selector_timestamps_are_a_snapshot():

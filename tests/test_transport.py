@@ -208,3 +208,27 @@ class TestTcpFabricErrors:
                 fabric.shutdown()
             except Exception:
                 pass
+
+    @pytest.mark.parametrize("rank", range(4))
+    def test_dead_worker_run_ends_quickly(self, monkeypatch, rank):
+        """A worker dying mid-run ends the run, teardown included, well inside
+        the default 30 s timeout, whichever peer thread it leaves blocked in
+        its exchange (its partner may be waiting in accept())."""
+        begin_round = Worker.begin_round
+
+        for round_ in (2, 5):
+            def failing(self, msg, round_=round_):
+                if self.rank == rank and msg.round == round_:
+                    raise RuntimeError("injected worker failure")
+                return begin_round(self, msg)
+
+            monkeypatch.setattr(Worker, "begin_round", failing)
+            cfg = ExperimentConfig(
+                n=4, T=20, c=1, gamma=0.1, N=1000, master_seed=3, transport="tcp"
+            )
+            start = time.perf_counter()
+            with pytest.raises(TransportError, match="injected worker failure"):
+                run_experiment(cfg)
+            assert time.perf_counter() - start < 2.0
+            alive = [t.name for t in threading.enumerate() if t.name.startswith("saps-worker-")]
+            assert not alive
