@@ -18,19 +18,19 @@ and never a copy.
 The simulated fabric executes workers inline in rank order, moves real
 encoded frames between them and counts their bytes; the virtual round time
 is the coordinator's (`round_time`, summed into `Coordinator.cum_time`).
-The TCP fabric runs each worker loop in a thread against real sockets on
-loopback; model values are bit-identical to the simulation because worker
+The TCP fabric runs one thread per worker against real sockets on loopback;
+the coordinator starts no thread and reads its n worker links through one
+selector. Model values are bit-identical to the simulation because worker
 arithmetic depends only on seeds and payloads, never on timing.
 """
 
 from __future__ import annotations
 
-import queue
+import selectors
 import socket
 import struct
 import threading
 from collections import deque
-from collections.abc import Callable
 
 import numpy as np
 
@@ -185,45 +185,44 @@ def send_frame(sock: socket.socket, frame: bytes) -> None:
 
 def _worker_loop(
     worker: Worker,
-    coord_addr: tuple[str, int],
+    coord: socket.socket,
     listener: socket.socket,
     peer_addrs: dict[int, tuple[str, int]],
-    on_failure: Callable[[Exception], None],
+    failures: dict[int, Exception],
     timeout: float,
 ) -> None:
+    """Serve the coordinator's frames on `coord` until it closes the link.
+
+    A failure is recorded before the link closes, so the coordinator finds it
+    as soon as it reads the EOF.
+    """
+    limit = wire.max_payload_len(worker.n_dims)
     try:
-        limit = wire.max_payload_len(worker.n_dims)
-        coord = socket.create_connection(coord_addr, timeout=timeout)
-        coord.settimeout(timeout)
-        try:
-            while True:
-                frame = read_frame(coord, limit)
-                if frame is None:
-                    return
-                msg_type, body = wire.parse_frame(frame)
-                if msg_type == wire.MSG_ROUND_START:
-                    msg = wire.decode_round_start(body)
-                    out = worker.begin_round(msg)
-                    peer_frame = None
-                    if msg.peer_id is not None:
-                        assert out is not None
-                        peer_frame = _exchange_tcp(
-                            worker.rank, msg.peer_id, out, listener, peer_addrs, timeout, limit
-                        )
-                    ack = worker.finish_round(peer_frame)
-                    for report in worker.drain_report_frames():
-                        send_frame(coord, report)
-                    send_frame(coord, wire.encode_round_end(ack))
-                elif msg_type == wire.MSG_MODEL_FULL:
-                    if not wire.decode_model_full(body).is_request:
-                        raise ProtocolError("worker received a non-request MODEL_FULL")
-                    send_frame(coord, worker.model_frame())
-                else:
-                    raise ProtocolError(f"worker received unexpected msg_type {msg_type}")
-        finally:
-            coord.close()
+        while (frame := read_frame(coord, limit)) is not None:
+            msg_type, body = wire.parse_frame(frame)
+            if msg_type == wire.MSG_ROUND_START:
+                msg = wire.decode_round_start(body)
+                out = worker.begin_round(msg)
+                peer_frame = None
+                if msg.peer_id is not None:
+                    assert out is not None
+                    peer_frame = _exchange_tcp(
+                        worker.rank, msg.peer_id, out, listener, peer_addrs, timeout, limit
+                    )
+                ack = worker.finish_round(peer_frame)
+                for report in worker.drain_report_frames():
+                    send_frame(coord, report)
+                send_frame(coord, wire.encode_round_end(ack))
+            elif msg_type == wire.MSG_MODEL_FULL:
+                if not wire.decode_model_full(body).is_request:
+                    raise ProtocolError("worker received a non-request MODEL_FULL")
+                send_frame(coord, worker.model_frame())
+            else:
+                raise ProtocolError(f"worker received unexpected msg_type {msg_type}")
     except Exception as e:
-        on_failure(e)
+        failures[worker.rank] = e
+    finally:
+        coord.close()
 
 
 def _exchange_tcp(
@@ -258,10 +257,11 @@ def _exchange_tcp(
 
 
 class TcpFabric:
-    """Loopback TCP fabric; one thread per worker, framed streams throughout.
+    """Loopback TCP fabric: one thread per worker, framed streams throughout.
 
-    The coordinator listens on one port per worker rank so that connection
-    identity needs no extra handshake message.
+    Each worker thread serves its own coordinator link. The coordinator runs
+    no thread of its own: it reads its n links through one selector, and
+    answers a model request from the requested worker's link.
     """
 
     def __init__(
@@ -273,126 +273,76 @@ class TcpFabric:
         self.timeout = timeout
         self._snapshot = _adopt_models(workers)  # before any worker thread starts
         self._max_payload_len = wire.max_payload_len(workers[0].n_dims)
-        self._failures: list[Exception] = []
-        # a None item is a failing thread's wake-up call, see `_fail`
-        self._queue: queue.Queue[tuple[int, int, bytes] | None] = queue.Queue()
-        self._model_replies: queue.Queue[tuple[int, int, bytes] | None] = queue.Queue()
+        self._failures: dict[int, Exception] = {}
+        self._selector = selectors.DefaultSelector()
 
         host = "127.0.0.1"
-        coord_listeners = []
-        peer_listeners = []
-        peer_addrs: dict[int, tuple[str, int]] = {}
-        for w in workers:
-            cl = socket.create_server((host, 0))
-            coord_listeners.append(cl)
-            pl = socket.create_server((host, 0))
+        self._conns: dict[int, socket.socket] = {}
+        links: dict[int, socket.socket] = {}
+        with socket.create_server((host, 0)) as server:
+            server.settimeout(timeout)
+            for w in workers:  # one pending connection at a time: accept() pairs it with w
+                links[w.rank] = socket.create_connection(server.getsockname(), timeout=timeout)
+                conn, _ = server.accept()
+                conn.settimeout(timeout)
+                self._conns[w.rank] = conn
+                self._selector.register(conn, selectors.EVENT_READ, w.rank)
+        self._peer_listeners = [socket.create_server((host, 0)) for _ in workers]
+        peer_addrs = {w.rank: pl.getsockname() for w, pl in zip(workers, self._peer_listeners)}
+        for pl in self._peer_listeners:
             pl.settimeout(timeout)
-            peer_listeners.append(pl)
-            peer_addrs[w.rank] = pl.getsockname()
-        self._peer_listeners = peer_listeners
 
         self._threads = [
             threading.Thread(
                 target=_worker_loop,
-                args=(w, coord_listeners[i].getsockname(), peer_listeners[i], peer_addrs,
-                      self._fail, timeout),
+                args=(w, links[w.rank], pl, peer_addrs, self._failures, timeout),
                 name=f"saps-worker-{w.rank}",
                 daemon=True,
             )
-            for i, w in enumerate(workers)
+            for w, pl in zip(workers, self._peer_listeners)
         ]
         for t in self._threads:
             t.start()
 
-        self._conns: dict[int, socket.socket] = {}
-        for i, w in enumerate(workers):
-            coord_listeners[i].settimeout(timeout)
-            conn, _ = coord_listeners[i].accept()
-            conn.settimeout(timeout)
-            self._conns[w.rank] = conn
-            coord_listeners[i].close()
-
-        self._readers = [
-            threading.Thread(
-                target=self._reader, args=(w.rank,), name=f"saps-reader-{w.rank}", daemon=True
-            )
-            for w in workers
-        ]
-        for t in self._readers:
-            t.start()
-
-    def _reader(self, wid: int) -> None:
+    def _read(self, wid: int) -> bytearray:
+        """One whole frame from worker `wid`'s link; its failure if the link closed."""
         try:
-            while True:
-                frame = read_frame(self._conns[wid], self._max_payload_len)
-                if frame is None:
-                    return
-                msg_type, body = wire.parse_frame(frame)
-                if msg_type == wire.MSG_MODEL_FULL:
-                    self._model_replies.put((wid, msg_type, body))
-                else:
-                    self._queue.put((wid, msg_type, body))
-        except (TransportError, OSError):
-            return  # socket closed during shutdown
-        except Exception as e:
-            self._fail(e)
-
-    def _fail(self, e: Exception) -> None:
-        """Record a worker or reader thread's failure and wake the coordinator.
-
-        The None items make a blocked `recv_from_workers` or `request_model`
-        raise at once instead of waiting out `timeout`.
-        """
-        self._failures.append(e)
-        self._queue.put(None)
-        self._model_replies.put(None)
-
-    def _check_failures(self) -> None:
-        if self._failures:
-            e = self._failures[0]
-            raise TransportError(f"worker thread failed: {e!r}") from e
-
-    def _get(self, q: queue.Queue, what: str) -> tuple[int, int, bytes]:
-        self._check_failures()
-        try:
-            item = q.get(timeout=self.timeout)
-        except queue.Empty:
-            raise TransportError(f"no {what} within {self.timeout}s") from None
-        self._check_failures()  # `_fail` records the failure before its None wakes us
-        return item
+            frame = read_frame(self._conns[wid], self._max_payload_len)
+        except OSError:  # a link reset by its worker's close reads as a close
+            frame = None
+        if frame is None:
+            e = self._failures.get(wid)
+            if e is not None:
+                raise TransportError(f"worker {wid} failed: {e!r}") from e
+            raise TransportError(f"worker {wid} closed its connection")
+        return frame
 
     def send_to_worker(self, wid: int, frame: bytes) -> None:
-        self._check_failures()
         send_frame(self._conns[wid], frame)
 
     def recv_from_workers(self) -> tuple[int, int, bytes]:
-        return self._get(self._queue, "worker message")
+        ready = self._selector.select(self.timeout)
+        if not ready:
+            raise TransportError(f"no worker message within {self.timeout}s")
+        wid = ready[0][0].data
+        msg_type, body = wire.parse_frame(self._read(wid))
+        return wid, msg_type, body
 
     def request_model(self, wid: int) -> bytes:
-        self._check_failures()
         send_frame(self._conns[wid], wire.model_request_frame())
-        rid, msg_type, body = self._get(self._model_replies, "model reply")
-        if rid != wid:
-            raise ProtocolError(f"model reply from worker {rid}, expected {wid}")
-        return wire.pack_frame(msg_type, body)
+        return self._read(wid)
 
     def snapshot_models(self) -> np.ndarray:
         # Read it at the round barrier, while worker threads wait on their next read.
         return self._snapshot
 
     def shutdown(self) -> None:
-        for conn in self._conns.values():
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
+        self._selector.close()
+        for sock in [*self._conns.values(), *self._peer_listeners]:
+            try:  # wakes a worker thread blocked in a read or in accept()
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            conn.close()
-        for pl in self._peer_listeners:
-            try:  # wakes a worker thread blocked in accept()
-                pl.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            pl.close()
+            sock.close()
         for t in self._threads:
             t.join(timeout=self.timeout)
-        self._check_failures()

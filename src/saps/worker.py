@@ -59,14 +59,17 @@ class Worker:
     def local_sgd_step(self) -> float:
         """x <- x - gamma * g on a fresh mini-batch; returns the batch loss."""
         loss, grad = self.objective.loss_and_grad(self.x, self.sample_rng)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+        # The objective hands over a fresh gradient, so the step is built in it:
+        # x + (-gamma * g) is x - gamma * g bit for bit, as negation is exact.
+        # A non-finite gradient makes the step non-finite, so one check covers
+        # both, and `x` stays untouched when it fails.
+        grad *= -self.gamma
+        grad += self.x
+        if not (np.isfinite(loss) and np.isfinite(grad).all()):
             raise NumericalError(
-                f"non-finite loss or gradient at worker {self.rank}, round {self.round}"
+                f"non-finite loss, gradient or model at worker {self.rank}, round {self.round}"
             )
-        grad *= self.gamma  # the objective hands over a fresh gradient; no temporary
-        self.x -= grad
-        if not np.all(np.isfinite(self.x)):
-            raise NumericalError(f"non-finite model at worker {self.rank}, round {self.round}")
+        self.x[...] = grad
         return float(loss)
 
     def begin_round(self, msg: wire.RoundStart) -> bytes | None:

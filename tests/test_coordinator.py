@@ -145,6 +145,30 @@ class TestRunRound:
         finally:
             fabric.shutdown()
 
+    @pytest.mark.parametrize("transport", ["sim", "tcp"])
+    def test_stray_model_full_during_a_round_is_rejected(self, transport):
+        # a MODEL_FULL sent at the barrier must not wait to pose as the final model
+        from saps.transport import TcpFabric
+
+        workers, coord, fabric = build(n=2)
+        honest = workers[0].drain_report_frames
+
+        def drain():
+            frames = honest()
+            if workers[0].round == 2:  # round 1 has just finished
+                frames.append(wire.encode_model_full(np.full(coord.n_dims, 99.0)))
+            return frames
+
+        workers[0].drain_report_frames = drain
+        if transport == "tcp":
+            fabric = TcpFabric(workers, coord.b, timeout=10)
+        try:
+            coord.run_round(fabric)
+            with pytest.raises(ProtocolError, match="unexpected msg_type 4"):
+                coord.run_round(fabric)
+        finally:
+            fabric.shutdown()
+
     def test_reproducible_matchings_and_seeds(self):
         _, coord_a, fabric_a = build(seed=77)
         _, coord_b, fabric_b = build(seed=77)

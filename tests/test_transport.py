@@ -10,7 +10,7 @@ from saps import sparsify, wire
 from saps.cli import ExperimentConfig, run_experiment
 from saps.coordinator import Coordinator
 from saps.core import Matching, symmetrize_bandwidth
-from saps.errors import ConfigurationError, ProtocolError, TransportError
+from saps.errors import ChecksumError, ConfigurationError, ProtocolError, TransportError
 from saps.objectives import QuadraticObjective
 from saps.transport import SimFabric, TcpFabric, read_frame, round_time, send_frame
 from saps.worker import Worker
@@ -208,6 +208,45 @@ class TestTcpFabricErrors:
                 fabric.shutdown()
             except Exception:
                 pass
+
+    def test_corrupt_round_end_raises_its_checksum_error(self, monkeypatch):
+        honest = wire.encode_round_end
+
+        def corrupt(ack):
+            frame = bytearray(honest(ack))
+            if ack.worker_id == 0:
+                frame[-1] ^= 0xFF  # the CRC's last byte
+            return bytes(frame)
+
+        monkeypatch.setattr(wire, "encode_round_end", corrupt)
+        n, n_dims = 2, 4
+        workers = _quadratic_workers(n, n_dims, 5)
+        b = symmetrize_bandwidth(np.full((n, n), 5.0))
+        coord = Coordinator(b, 0.0, 3, 17, 1, n_dims)
+        fabric = TcpFabric(workers, b, timeout=5.0)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ChecksumError):
+                coord.run_round(fabric)
+            assert time.perf_counter() - start < 1.0
+        finally:
+            fabric.shutdown()  # raises nothing: no worker failed
+
+    def test_one_thread_per_worker_and_none_after_shutdown(self):
+        def saps_threads():
+            return sorted(t.name for t in threading.enumerate() if t.name.startswith("saps-"))
+
+        n, n_dims = 4, 8
+        workers = _quadratic_workers(n, n_dims, 6)
+        b = symmetrize_bandwidth(np.full((n, n), 5.0))
+        coord = Coordinator(b, 0.0, 3, 17, 1, n_dims)
+        fabric = TcpFabric(workers, b, timeout=5.0)
+        try:
+            coord.run_round(fabric)
+            assert saps_threads() == [f"saps-worker-{i}" for i in range(n)]
+        finally:
+            fabric.shutdown()
+        assert saps_threads() == []
 
     @pytest.mark.parametrize("rank", range(4))
     def test_dead_worker_run_ends_quickly(self, monkeypatch, rank):

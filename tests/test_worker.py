@@ -40,16 +40,25 @@ class TestLocalSgdStep:
         w.local_sgd_step()
         assert w.x.tolist() == [0.5]  # (1 - gamma) * x0
 
-    def test_nonfinite_gradient_raises(self):
+    @pytest.mark.parametrize(
+        "loss,grad,gamma,x0",
+        [
+            (math.inf, [math.nan], 0.1, [0.0]),
+            (0.0, [1e308, 1.0], 10.0, [1.0, 1.0]),  # -gamma * g overflows to -inf
+        ],
+    )
+    def test_nonfinite_step_raises_and_leaves_x_untouched(self, loss, grad, gamma, x0):
         class Bad:
-            dim = 1
+            dim = len(x0)
 
             def loss_and_grad(self, x, rng):
-                return math.inf, np.array([math.nan])
+                return loss, np.array(grad)
 
-        w = Worker(3, np.zeros(1), Bad(), 0.1, 1)
-        with pytest.raises(NumericalError, match="worker 3"):
+        w = Worker(3, np.array(x0), Bad(), gamma, 1)
+        before = w.x.tobytes()
+        with pytest.raises(NumericalError, match="worker 3"), np.errstate(all="ignore"):
             w.local_sgd_step()
+        assert w.x.tobytes() == before
 
 
 class TestRunWorkerRound:
