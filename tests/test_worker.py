@@ -40,14 +40,10 @@ class TestLocalSgdStep:
         w.local_sgd_step()
         assert w.x.tolist() == [0.5]  # (1 - gamma) * x0
 
-    @pytest.mark.parametrize(
-        "loss,grad,gamma,x0",
-        [
-            (math.inf, [math.nan], 0.1, [0.0]),
-            (0.0, [1e308, 1.0], 10.0, [1.0, 1.0]),  # -gamma * g overflows to -inf
-        ],
-    )
-    def test_nonfinite_step_raises_and_leaves_x_untouched(self, loss, grad, gamma, x0):
+    @staticmethod
+    def failed_step(loss, grad, gamma, x0):
+        """One step that must fail on an objective returning (loss, grad); x's bytes
+        before and after it."""
         class Bad:
             dim = len(x0)
 
@@ -58,7 +54,16 @@ class TestLocalSgdStep:
         before = w.x.tobytes()
         with pytest.raises(NumericalError, match="worker 3"), np.errstate(all="ignore"):
             w.local_sgd_step()
-        assert w.x.tobytes() == before
+        return before, w.x.tobytes()
+
+    def test_nonfinite_gradient_raises(self):
+        before, after = self.failed_step(math.inf, [math.nan], 0.1, [0.0])
+        assert after == before
+
+    def test_overflowing_step_leaves_x_untouched(self):
+        # the gradient is finite, but -gamma * g overflows to -inf
+        before, after = self.failed_step(0.0, [1e308, 1.0], 10.0, [1.0, 1.0])
+        assert after == before
 
 
 class TestRunWorkerRound:
