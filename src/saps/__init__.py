@@ -3,7 +3,6 @@
 from .analysis import (
     RoundRecord,
     SpectralEstimate,
-    bandwidth_stats,
     consensus_error,
     d_constants,
     estimate_rho,

@@ -190,34 +190,6 @@ def theorem_bound(
     return term1 + term2 + term3 + term4
 
 
-@dataclass(frozen=True)
-class BandwidthStats:
-    per_round_min: np.ndarray
-    per_round_mean: np.ndarray
-    run_min: float  # average over rounds of the per-round bottleneck
-    run_mean: float
-
-
-def bandwidth_stats(records: list[RoundRecord]) -> BandwidthStats:
-    """Bottleneck and mean matched-pair bandwidth, per round and run-averaged.
-
-    Rounds with no matched pair are excluded from the run averages.
-    """
-    if not records:
-        raise ValidationError("no records")
-    mins = np.array([r.min_bw for r in records])
-    means = np.array([r.mean_bw for r in records])
-    active = np.array([len(r.pairs) > 0 for r in records])
-    if not active.any():
-        raise ValidationError("no round matched any pair")
-    return BandwidthStats(
-        per_round_min=mins,
-        per_round_mean=means,
-        run_min=float(mins[active].mean()),
-        run_mean=float(means[active].mean()),
-    )
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 

@@ -6,7 +6,6 @@ seed, so only the selected values travel on the wire, never indices.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -17,6 +16,7 @@ from .core import ParameterVector, splitmix64_array
 from .errors import ProtocolError, TruncatedFrameError, ValidationError
 
 _MASK64 = (1 << 64) - 1
+_HEAD = wire._MODEL_VALUES_HEAD  # round u64, sender u32, count u32
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,15 @@ class SparsePayload:
 
 
 def extract_payload(x: ParameterVector, mask: MaskStream, round: int, sender: int) -> SparsePayload:
+    """The masked values of `x`, copied out of it.
+
+    `x` must be finite; this does not check it. `Worker.begin_round` calls
+    this right after the SGD step that proved `x` finite, and the receiver's
+    `merge_masked` checks every value it is sent.
+    """
     if x.shape != (mask.n_dims,):
         raise ValidationError(f"model length {x.shape} does not match mask n_dims {mask.n_dims}")
-    values = x[mask.indices].astype(np.float64, copy=False)  # fancy indexing copies
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("masked values contain non-finite entries")
-    return SparsePayload(round, sender, values)
+    return SparsePayload(round, sender, x[mask.indices])  # fancy indexing copies
 
 
 def merge_masked(x: ParameterVector, mask: MaskStream, peer: SparsePayload) -> ParameterVector:
@@ -106,7 +109,7 @@ def merge_masked(x: ParameterVector, mask: MaskStream, peer: SparsePayload) -> P
             f"peer payload carries {peer.count} values but mask selects {mask.count}; "
             "mask seeds are out of sync"
         )
-    if not np.all(np.isfinite(peer.values)):
+    if not np.isfinite(peer.values).all():
         raise ValidationError("peer payload contains non-finite values")
     idx = mask.indices
     x[idx] = (x[idx] + peer.values) * 0.5
@@ -115,7 +118,7 @@ def merge_masked(x: ParameterVector, mask: MaskStream, peer: SparsePayload) -> P
 
 def encode_payload(p: SparsePayload) -> bytes:
     values = np.ascontiguousarray(p.values, dtype="<f8")
-    body = struct.pack("<QII", p.round, p.sender, values.size) + values.tobytes()
+    body = _HEAD.pack(p.round, p.sender, values.size) + values.tobytes()
     return wire.pack_frame(wire.MSG_MODEL_VALUES, body)
 
 
@@ -127,16 +130,20 @@ def decode_payload(data: bytes) -> SparsePayload:
 
 
 def decode_payload_body(body: bytes) -> SparsePayload:
-    head = struct.calcsize("<QII")
-    if len(body) < head:
+    """The payload in a MODEL_VALUES body; its values are a view of `body`.
+
+    The view is read-only when `body` is `bytes`. `merge_masked` only reads
+    it, so no copy is made.
+    """
+    if len(body) < _HEAD.size:
         raise TruncatedFrameError("MODEL_VALUES body shorter than its fixed header")
-    rnd, sender, count = struct.unpack_from("<QII", body)
-    if len(body) != head + 8 * count:
+    rnd, sender, count = _HEAD.unpack_from(body)
+    if len(body) != _HEAD.size + 8 * count:
         raise TruncatedFrameError("MODEL_VALUES count does not match body size")
-    values = np.frombuffer(body, dtype="<f8", count=count, offset=head).astype(np.float64)
+    values = np.frombuffer(body, dtype="<f8", count=count, offset=_HEAD.size)
     return SparsePayload(rnd, sender, values)
 
 
 def payload_frame_bytes(count: int) -> int:
     """Wire size of a MODEL_VALUES frame carrying `count` values."""
-    return wire.HEADER_LEN + struct.calcsize("<QII") + 8 * count + 4
+    return wire.HEADER_LEN + _HEAD.size + 8 * count + 4

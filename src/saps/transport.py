@@ -40,6 +40,9 @@ from .errors import ConfigurationError, ProtocolError, TransportError, Validatio
 from .worker import Worker
 
 
+_EMPTY_PAYLOAD_FRAME = sparsify.payload_frame_bytes(0)
+
+
 def round_time(match: Matching, payload_bytes: float, b: BandwidthMatrix) -> float:
     """Virtual duration of a synchronous round: the slowest pair's transfer.
 
@@ -107,9 +110,11 @@ class SimFabric:
             raise ProtocolError("round started without notifying every worker")
         starts = self._starts
         self._starts = {}
-        payloads: dict[int, bytes | None] = {}
-        for w in self.workers:  # rank order keeps the simulation reproducible
-            payloads[w.rank] = w.begin_round(starts[w.rank])
+        # rank order keeps the simulation reproducible
+        payloads = [w.begin_round(starts[w.rank]) for w in self.workers]
+        n = len(self.workers)
+        moved = [0] * n  # payload bytes each worker sent plus received
+        values = [0] * n
         for w in self.workers:
             peer = starts[w.rank].peer_id
             if peer is None:
@@ -117,11 +122,13 @@ class SimFabric:
             frame = payloads[peer]
             if frame is None:
                 raise ProtocolError(f"worker {peer} produced no payload for its peer")
-            self.payload_bytes_per_worker[w.rank] += len(frame)  # received
-            self.payload_bytes_per_worker[peer] += len(frame)  # sent
+            size = len(frame)
+            moved[w.rank] += size  # received
+            moved[peer] += size  # sent
             # counted from the frame's length; finish_round decodes it
-            values = (len(frame) - sparsify.payload_frame_bytes(0)) // 8
-            self.values_per_worker[w.rank] += 2 * values  # received, and as many sent
+            values[w.rank] += 2 * ((size - _EMPTY_PAYLOAD_FRAME) // 8)  # received, as many sent
+        self.payload_bytes_per_worker += moved
+        self.values_per_worker += values
         for w in self.workers:
             peer = starts[w.rank].peer_id
             ack = w.finish_round(payloads[peer] if peer is not None else None)

@@ -9,6 +9,8 @@ peers' sends however they need:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import sparsify, wire
@@ -62,10 +64,11 @@ class Worker:
         # The objective hands over a fresh gradient, so the step is built in it:
         # x + (-gamma * g) is x - gamma * g bit for bit, as negation is exact.
         # A non-finite gradient makes the step non-finite, so one check covers
-        # both, and `x` stays untouched when it fails.
+        # both, and `x` stays untouched when it fails. The loss is a Python
+        # float, so `math.isfinite` tests it without a trip through numpy.
         grad *= -self.gamma
         grad += self.x
-        if not (np.isfinite(loss) and np.isfinite(grad).all()):
+        if not (math.isfinite(loss) and np.isfinite(grad).all()):
             raise NumericalError(
                 f"non-finite loss, gradient or model at worker {self.rank}, round {self.round}"
             )

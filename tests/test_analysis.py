@@ -5,7 +5,6 @@ import pytest
 
 from saps.analysis import (
     RoundRecord,
-    bandwidth_stats,
     consensus_error,
     contraction_bound,
     d_constants,
@@ -200,27 +199,6 @@ class TestTheoremBound:
     def test_zero_sigma_rejected(self):
         with pytest.raises(ValidationError, match="sigma"):
             theorem_bound(TheoryConstants(0.0, 1.0, 1.0, 1.0), 2, 10, 1.0, 1.0, 0.0)
-
-
-class TestBandwidthStats:
-    def test_single_pair(self):
-        stats = bandwidth_stats([record(min_bw=3.0, mean_bw=3.0)])
-        assert stats.run_min == 3.0 and stats.run_mean == 3.0
-
-    def test_two_pair_round(self):
-        stats = bandwidth_stats([record(pairs=((0, 1), (2, 3)), min_bw=2.0, mean_bw=3.0)])
-        assert stats.run_min == 2.0 and stats.run_mean == 3.0
-
-    def test_self_loop_rounds_excluded_from_averages(self):
-        stats = bandwidth_stats(
-            [record(min_bw=2.0, mean_bw=2.0), record(round=1, pairs=(), min_bw=0.0, mean_bw=0.0)]
-        )
-        assert stats.run_min == 2.0
-        assert stats.per_round_min.tolist() == [2.0, 0.0]
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValidationError):
-            bandwidth_stats([])
 
 
 class TestExportCsv:

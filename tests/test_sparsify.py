@@ -232,6 +232,15 @@ class TestCodec:
         assert q.round == 17 and q.sender == 3
         assert np.array_equal(q.values, p.values)
 
+    def test_decoded_values_are_read_only_and_equal_to_the_sent_ones(self):
+        p = SparsePayload(3, 1, np.array([1.5, -2.0, 7.25]))
+        q = decode_payload(encode_payload(p))
+        assert q.values.dtype == np.float64
+        assert np.array_equal(q.values, p.values)
+        assert not q.values.flags.writeable
+        with pytest.raises(ValueError):
+            q.values[0] = 0.0
+
     def test_frame_size_formula(self):
         p = SparsePayload(1, 0, np.ones(37))
         assert len(encode_payload(p)) == payload_frame_bytes(37)

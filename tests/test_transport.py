@@ -147,6 +147,39 @@ def _quadratic_workers(n, n_dims, seed, c=1):
     ]
 
 
+class TestSimTrafficCounters:
+    def test_counters_are_sums_over_the_frames_the_workers_built(self, monkeypatch):
+        n, n_dims = 5, 64  # odd n: one worker sits out every round
+        workers = _quadratic_workers(n, n_dims, 4, c=4)
+        b = symmetrize_bandwidth(np.random.default_rng(4).uniform(1.0, 5.0, size=(n, n)))
+        coord = Coordinator(b, 0.0, 3, 21, 4, n_dims)
+        fabric = SimFabric(workers, b)
+        built = []
+        begin_round = Worker.begin_round
+
+        def recording(self, msg):
+            frame = begin_round(self, msg)
+            built.append((self.rank, msg.peer_id, frame))
+            return frame
+
+        monkeypatch.setattr(Worker, "begin_round", recording)
+        for _ in range(25):
+            coord.run_round(fabric)
+        moved = np.zeros(n)
+        values = np.zeros(n, dtype=np.int64)
+        for rank, peer, frame in built:
+            if peer is None:
+                assert frame is None
+                continue
+            count = sparsify.decode_payload(frame).count
+            for w in (rank, peer):  # sent by rank, received by its peer
+                moved[w] += len(frame)
+                values[w] += count
+        assert len(built) == 25 * n and sum(peer is None for _, peer, _ in built) == 25
+        assert np.array_equal(fabric.payload_bytes_per_worker, moved)
+        assert np.array_equal(fabric.values_per_worker, values)
+
+
 class TestSnapshotModels:
     """Each fabric keeps one (n, N) model matrix; the snapshot is a view of it."""
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from saps import wire
+from saps import sparsify, wire
 from saps.analysis import consensus_error
 from saps.coordinator import Coordinator
 from saps.core import SplitMix64, symmetrize_bandwidth
@@ -64,6 +64,35 @@ class TestLocalSgdStep:
         # the gradient is finite, but -gamma * g overflows to -inf
         before, after = self.failed_step(0.0, [1e308, 1.0], 10.0, [1.0, 1.0])
         assert after == before
+
+
+class TestNonFiniteStepInBeginRound:
+    """`extract_payload` does not check the values it sends: it relies on the
+    SGD step of the same `begin_round` having proved `x` finite."""
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e308])  # NaN, and a step that overflows
+    def test_raises_before_any_frame_and_changes_no_state(self, monkeypatch, bad):
+        class GoesBad:
+            dim = 2
+            calls = 0
+
+            def loss_and_grad(self, x, rng):
+                self.calls += 1
+                return 0.0, np.array([1.0, bad if self.calls > 1 else 1.0])
+
+        w = Worker(0, np.array([1.0, 2.0]), GoesBad(), 10.0, 1)
+        pair_exchange(w, quad_worker(1, [0.0, 0.0], [0.0, 0.0], 0.0), seed=3, rnd=0)
+        built = []
+        for name in ("extract_payload", "encode_payload"):
+            monkeypatch.setattr(sparsify, name, lambda *a, name=name: built.append(name))
+        before = w.x.tobytes()
+        with pytest.raises(NumericalError, match="worker 0, round 1"), np.errstate(all="ignore"):
+            w.begin_round(wire.RoundStart(1, 4, 1))
+        assert built == []
+        assert w.x.tobytes() == before
+        assert w.round == 1 and w._pending is None
+        with pytest.raises(ProtocolError, match="without begin_round"):
+            w.finish_round(None)
 
 
 class TestRunWorkerRound:
