@@ -140,10 +140,10 @@ def print_comparison(rows: list[tuple[str, str, dict]]) -> None:
     def quartiles(s: dict) -> str:
         return f"{s['median']:.4g} [{s['q1']:.4g}-{s['q3']:.4g}]"
 
-    print(f"{'workload':<20} {'metric':<28} {'wins':>7}  {'parent':<28} {'change':<28} verdict")
+    print(f"{'workload':<20} {'metric':<28} {'wins':>7}  {'parent':<34} {'change':<34} verdict")
     for workload, name, v in rows:
         print(f"{workload:<20} {name:<28} {v['wins']:>3}/{v['pairs']:<3}  "
-              f"{quartiles(v['parent']):<28} {quartiles(v['change']):<28} {v['verdict']}")
+              f"{quartiles(v['parent']):<34} {quartiles(v['change']):<34} {v['verdict']}")
 
 
 def main(argv: list[str] | None = None) -> None:
