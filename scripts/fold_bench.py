@@ -24,6 +24,7 @@ and prints one verdict per workload and end-to-end metric of
   tenths of them (ties count for neither side), and its median is better
   than the parent's by more than the distance between the parent's
   quartiles;
+* `identical`: every pair of runs reads the same value;
 * `unresolved`: anything else.
 
 The exit status is 1 when any metric regressed. Standard library only.
@@ -110,7 +111,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p, c = summarise(parent), summarise(change)
     gain = sign * (c["median"] - p["median"])
-    if -gain > bound * abs(p["median"]):
+    if parent == change:
+        label = "identical"
+    elif -gain > bound * abs(p["median"]):
         label = "regressed"
     elif len(parent) >= 10 and wins >= 0.9 * len(parent) and gain > p["q3"] - p["q1"]:
         label = "resolved"

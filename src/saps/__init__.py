@@ -46,7 +46,6 @@ from .matching import (
 from .objectives import (
     DataShard,
     ObjectiveSet,
-    finite_difference_gradient,
     make_logistic,
     make_mlp,
     make_quadratic,

@@ -3,7 +3,7 @@
 The coordinator distributes round numbers, mask seeds and peer assignments,
 enforces the ROUND_END barrier, and collects one full model at the end of
 training.  It never receives model parameters during training: its per-round
-traffic is O(1) control frames per worker.
+traffic is O(1) control messages per worker.
 """
 
 from __future__ import annotations
@@ -236,23 +236,22 @@ class Coordinator:
             j: i for i, j in plan.matching.pairs
         }
         for wid in range(self.n):
-            msg = wire.RoundStart(plan.t, plan.seed, peer_of.get(wid), 0)
-            fabric.send_to_worker(wid, wire.encode_round_start(msg))
+            fabric.start_round(wid, wire.RoundStart(plan.t, plan.seed, peer_of.get(wid), 0))
 
         barrier = BarrierState(plan.t)
         while len(barrier.acked) < self.n:
-            wid, msg_type, body = fabric.recv_from_workers()
-            if msg_type == wire.MSG_ROUND_END:
-                ack = wire.decode_round_end(body)
-                if ack.worker_id != wid:
+            wid, msg = fabric.recv_from_workers()
+            if isinstance(msg, wire.RoundEnd):
+                if msg.worker_id != wid:
                     raise ProtocolError(
-                        f"ROUND_END from worker {wid} claims to be from worker {ack.worker_id}"
+                        f"ROUND_END from worker {wid} claims to be from worker {msg.worker_id}"
                     )
-                self.note_round_end(barrier, ack)
-            elif msg_type == wire.MSG_BANDWIDTH_REPORT:
-                self.handle_bandwidth_report(wire.decode_bandwidth_report(body, wid))
+                self.note_round_end(barrier, msg)
+            elif isinstance(msg, wire.BandwidthReport):
+                self.handle_bandwidth_report(msg)
             else:
-                raise ProtocolError(f"unexpected msg_type {msg_type} during round barrier")
+                raise ProtocolError(
+                    f"unexpected {type(msg).__name__} from worker {wid} at the barrier")
 
         matched = {v for pair in plan.matching.pairs for v in pair}
         self.values_per_worker[list(matched)] += 2 * plan.mask_count

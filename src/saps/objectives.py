@@ -234,12 +234,3 @@ def make_mlp(
         initial_models=[theta0.copy() for _ in range(n_workers)],
     )
 
-
-def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences; the reference oracle for gradient checks."""
-    g = np.zeros_like(x)
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = step
-        g[k] = (f(x + e) - f(x - e)) / (2 * step)
-    return g

@@ -2,12 +2,17 @@
 
 Both fabrics expose the same coordinator-side surface:
 
-    send_to_worker(wid, frame)         deliver a control frame to a worker
-    recv_from_workers() -> (wid, msg_type, body)
+    start_round(wid, RoundStart)       hand a worker its round, seed and peer
+    recv_from_workers() -> (wid, RoundEnd | BandwidthReport), wid from the link
     request_model(wid) -> bytes        final-model collection (a MODEL_FULL frame)
     snapshot_models() -> np.ndarray    harness instrumentation: a read-only
                                        (N x n) view of the fabric's models
     shutdown()
+
+Control messages cross this surface as `wire` objects; only `TcpFabric`
+frames them, at its sockets, with the same wire format and CRCs as ever.
+Payloads and the final model are real frames on both fabrics. The test
+surface `SimFabric.inject(wid, msg)` queues a message as if from `wid`.
 
 Each fabric owns one C-ordered (n x N) model matrix. It stacks the workers'
 models once when it is built, before any worker runs, and each `Worker.x`
@@ -83,22 +88,18 @@ class SimFabric:
         self.workers = workers
         self._snapshot = _adopt_models(workers)
         self._starts: dict[int, wire.RoundStart] = {}
-        self._inbox: deque[tuple[int, int, bytes]] = deque()
+        self._inbox: deque[tuple[int, object]] = deque()
         self.payload_bytes_per_worker = np.zeros(len(workers))
         self.values_per_worker = np.zeros(len(workers), dtype=np.int64)
 
-    def send_to_worker(self, wid: int, frame: bytes) -> None:
-        msg_type, body = wire.parse_frame(frame)
-        if msg_type != wire.MSG_ROUND_START:
-            raise ProtocolError(f"coordinator pushed unexpected msg_type {msg_type}")
-        self._starts[wid] = wire.decode_round_start(body)
+    def start_round(self, wid: int, msg: wire.RoundStart) -> None:
+        self._starts[wid] = msg
 
-    def inject_frame(self, wid: int, frame: bytes) -> None:
-        """Test surface: queue a worker-originated control frame (e.g. a bandwidth report)."""
-        msg_type, body = wire.parse_frame(frame)
-        self._inbox.append((wid, msg_type, body))
+    def inject(self, wid: int, msg: object) -> None:
+        """Test surface: queue a message as if worker `wid`'s link had carried it."""
+        self._inbox.append((wid, msg))
 
-    def recv_from_workers(self) -> tuple[int, int, bytes]:
+    def recv_from_workers(self) -> tuple[int, wire.RoundEnd | wire.BandwidthReport]:
         if not self._inbox and self._starts:
             self._execute_round()
         if not self._inbox:
@@ -132,10 +133,9 @@ class SimFabric:
         for w in self.workers:
             peer = starts[w.rank].peer_id
             ack = w.finish_round(payloads[peer] if peer is not None else None)
-            for frame in w.drain_report_frames():
-                self._inbox.append((w.rank,) + wire.parse_frame(frame))
-            msg_type, body = wire.parse_frame(wire.encode_round_end(ack))
-            self._inbox.append((w.rank, msg_type, body))
+            for entries in w.drain_reports():
+                self._inbox.append((w.rank, wire.BandwidthReport(w.rank, tuple(entries))))
+            self._inbox.append((w.rank, ack))
 
     def request_model(self, wid: int) -> bytes:
         return self.workers[wid].model_frame()
@@ -217,8 +217,8 @@ def _worker_loop(
                         worker.rank, msg.peer_id, out, listener, peer_addrs, timeout, limit
                     )
                 ack = worker.finish_round(peer_frame)
-                for report in worker.drain_report_frames():
-                    send_frame(coord, report)
+                for entries in worker.drain_reports():
+                    send_frame(coord, wire.encode_bandwidth_report(entries))
                 send_frame(coord, wire.encode_round_end(ack))
             elif msg_type == wire.MSG_MODEL_FULL:
                 if not wire.decode_model_full(body).is_request:
@@ -324,16 +324,20 @@ class TcpFabric:
             raise TransportError(f"worker {wid} closed its connection")
         return frame
 
-    def send_to_worker(self, wid: int, frame: bytes) -> None:
-        send_frame(self._conns[wid], frame)
+    def start_round(self, wid: int, msg: wire.RoundStart) -> None:
+        send_frame(self._conns[wid], wire.encode_round_start(msg))
 
-    def recv_from_workers(self) -> tuple[int, int, bytes]:
+    def recv_from_workers(self) -> tuple[int, wire.RoundEnd | wire.BandwidthReport]:
         ready = self._selector.select(self.timeout)
         if not ready:
             raise TransportError(f"no worker message within {self.timeout}s")
         wid = ready[0][0].data
         msg_type, body = wire.parse_frame(self._read(wid))
-        return wid, msg_type, body
+        if msg_type == wire.MSG_ROUND_END:
+            return wid, wire.decode_round_end(body)
+        if msg_type == wire.MSG_BANDWIDTH_REPORT:
+            return wid, wire.decode_bandwidth_report(body, wid)
+        raise ProtocolError(f"unexpected msg_type {msg_type} from worker {wid} at the barrier")
 
     def request_model(self, wid: int) -> bytes:
         send_frame(self._conns[wid], wire.model_request_frame())

@@ -44,6 +44,7 @@ MSG_MODEL_FULL = 4
 MSG_BANDWIDTH_REPORT = 5
 
 NO_PEER = 0xFFFFFFFF
+MAX_REPORT_ENTRIES = 0xFFFF  # a BANDWIDTH_REPORT counts its entries in a u16
 
 _HEADER = struct.Struct("<4sBBI")
 HEADER_LEN = _HEADER.size  # 10
@@ -61,7 +62,7 @@ def max_payload_len(n_dims: int) -> int:
     as its u16 count allows, whichever is longer; plus the crc32.
     """
     dense = _MODEL_VALUES_HEAD.size + 8 * n_dims
-    report = 2 + _BW_ENTRY.size * 0xFFFF
+    report = 2 + _BW_ENTRY.size * MAX_REPORT_ENTRIES
     return max(dense, report) + 4
 
 
@@ -164,7 +165,7 @@ def model_request_frame() -> bytes:
 
 
 def encode_bandwidth_report(entries: list[tuple[int, float]]) -> bytes:
-    if len(entries) > 0xFFFF:
+    if len(entries) > MAX_REPORT_ENTRIES:
         raise ValidationError("too many bandwidth entries for one report")
     body = struct.pack("<H", len(entries)) + b"".join(
         _BW_ENTRY.pack(peer, bps) for peer, bps in entries
@@ -172,7 +173,7 @@ def encode_bandwidth_report(entries: list[tuple[int, float]]) -> bytes:
     return pack_frame(MSG_BANDWIDTH_REPORT, body)
 
 
-def decode_bandwidth_report(body: bytes, worker_id: int = NO_PEER) -> BandwidthReport:
+def decode_bandwidth_report(body: bytes, worker_id: int) -> BandwidthReport:
     if len(body) < 2:
         raise TruncatedFrameError("BANDWIDTH_REPORT body has wrong size")
     (n_entries,) = struct.unpack_from("<H", body)

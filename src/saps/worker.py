@@ -3,8 +3,9 @@
 A round is split into two phases so that transports can interleave the two
 peers' sends however they need:
 
-    payload = worker.begin_round(msg)      # SGD step, mask, extract, encode
-    ack     = worker.finish_round(peer_payload_bytes)   # decode, merge, ack
+    frame   = worker.begin_round(start)        # RoundStart in; SGD step, mask, encode
+    ack     = worker.finish_round(peer_frame)  # decode, merge; RoundEnd out
+    reports = worker.drain_reports()           # link speeds, sent before the ack
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ class Worker:
         self.pending_reports: list[list[tuple[int, float]]] = []
 
     def queue_bandwidth_report(self, entries: list[tuple[int, float]]) -> None:
-        self.pending_reports.append(list(entries))
+        entries = list(entries)
+        if len(entries) > wire.MAX_REPORT_ENTRIES:  # checked here for both fabrics
+            raise ValidationError("too many bandwidth entries for one report")
+        self.pending_reports.append(entries)
 
-    def drain_report_frames(self) -> list[bytes]:
-        frames = [wire.encode_bandwidth_report(r) for r in self.pending_reports]
-        self.pending_reports.clear()
-        return frames
+    def drain_reports(self) -> list[list[tuple[int, float]]]:
+        reports, self.pending_reports = self.pending_reports, []
+        return reports
 
     def local_sgd_step(self) -> float:
         """x <- x - gamma * g on a fresh mini-batch; returns the batch loss."""

@@ -128,7 +128,7 @@ class TestRunRound:
     def test_ack_naming_another_worker_is_blamed_on_its_sender(self):
         # worker 0's connection carries an ack that claims to be worker 1's
         _, coord, fabric = build(n=4)
-        fabric.inject_frame(0, wire.encode_round_end(wire.RoundEnd(0, 1, 0.0)))
+        fabric.inject(0, wire.RoundEnd(0, 1, 0.0))
         with pytest.raises(ProtocolError, match="from worker 0 claims to be from worker 1"):
             coord.run_round(fabric)
 
@@ -146,25 +146,25 @@ class TestRunRound:
             fabric.shutdown()
 
     @pytest.mark.parametrize("transport", ["sim", "tcp"])
-    def test_stray_model_full_during_a_round_is_rejected(self, transport):
+    def test_stray_model_full_during_a_round_is_rejected(self, transport, monkeypatch):
         # a MODEL_FULL sent at the barrier must not wait to pose as the final model
         from saps.transport import TcpFabric
 
         workers, coord, fabric = build(n=2)
-        honest = workers[0].drain_report_frames
-
-        def drain():
-            frames = honest()
-            if workers[0].round == 2:  # round 1 has just finished
-                frames.append(wire.encode_model_full(np.full(coord.n_dims, 99.0)))
-            return frames
-
-        workers[0].drain_report_frames = drain
+        stray = np.full(coord.n_dims, 99.0)
         if transport == "tcp":
+            # worker 0's link carries a MODEL_FULL where its report would go
+            honest = workers[0].drain_reports
+            workers[0].drain_reports = lambda: honest() + ([[]] if workers[0].round == 2 else [])
+            monkeypatch.setattr(wire, "encode_bandwidth_report",
+                                lambda entries: wire.encode_model_full(stray))
             fabric = TcpFabric(workers, coord.b, timeout=10)
         try:
             coord.run_round(fabric)
-            with pytest.raises(ProtocolError, match="unexpected msg_type 4"):
+            if transport == "sim":
+                fabric.inject(0, wire.ModelFull(stray))
+            with pytest.raises(ProtocolError,
+                               match="unexpected (msg_type 4|ModelFull) from worker 0"):
                 coord.run_round(fabric)
         finally:
             fabric.shutdown()
@@ -235,8 +235,7 @@ class TestBandwidthReportIngestion:
     def test_report_updates_b_but_not_bstar(self):
         _, coord, fabric = build(n=4)
         before_star = coord.selector.b_star.edges.copy()
-        report = wire.encode_bandwidth_report([(1, 0.5)])
-        fabric.inject_frame(0, report)
+        fabric.inject(0, wire.BandwidthReport(0, ((1, 0.5),)))
         coord.run_round(fabric)
         assert coord.b.speeds[0, 1] == 0.5 == coord.b.speeds[1, 0]
         assert np.array_equal(coord.selector.b_star.edges, before_star)

@@ -99,7 +99,8 @@ def test_fold_bench_compare_pairs_runs_by_seed(tmp_path):
     parent = {
         "sim-many": {s: {"round_ms": 5.0 + 0.01 * k, "round_ms_p90": 6.0,
                          "bottleneck_bw_MBps": 1.5} for k, s in enumerate(seeds)},
-        "tcp-dense": {s: {"round_ms": 1.0, "setup_s": 0.010} for s in seeds},
+        "tcp-dense": {s: {"round_ms": 1.0, "setup_s": 0.010, "wire_bytes_per_worker_round": 800.0}
+                      for s in seeds},
     }
     # a seed only the parent ran has no pair and must not count
     parent["sim-many"][100] = {"round_ms": 0.1, "round_ms_p90": 0.1, "bottleneck_bw_MBps": 9.0}
@@ -108,7 +109,10 @@ def test_fold_bench_compare_pairs_runs_by_seed(tmp_path):
         "sim-many": {s: {"round_ms": (4.0 if k else 6.0) + 0.01 * k, "round_ms_p90": 5.8,
                          "bottleneck_bw_MBps": 1.5} for k, s in enumerate(seeds)},
         # round_ms 20% worse, inside its 25% bound; setup_s 40% worse, past it
-        "tcp-dense": {s: {"round_ms": 1.2, "setup_s": 0.014} for s in seeds},
+        "tcp-dense": {s: {"round_ms": 1.2, "setup_s": 0.014,
+                          # one pair of ten differs, by less than its bound
+                          "wire_bytes_per_worker_round": 808.0 if s == 105 else 800.0}
+                      for s in seeds},
     }
     files = fold_side(tmp_path / "p", "p", parent), fold_side(tmp_path / "c", "c", change)
     proc = fold_bench(tmp_path, "--compare", *files)
@@ -118,9 +122,10 @@ def test_fold_bench_compare_pairs_runs_by_seed(tmp_path):
         ("sim-many", "round_ms"): "resolved",
         # 10/10 wins; the parent's runs all read 6.0, so any better median resolves
         ("sim-many", "round_ms_p90"): "resolved",
-        ("sim-many", "bottleneck_bw_MBps"): "unresolved",  # every pair ties
+        ("sim-many", "bottleneck_bw_MBps"): "identical",  # every pair ties
         ("tcp-dense", "setup_s"): "regressed",
         ("tcp-dense", "round_ms"): "unresolved",
+        ("tcp-dense", "wire_bytes_per_worker_round"): "unresolved",  # 9 ties, one loss
     }
     assert "9/10" in next(line for line in proc.stdout.splitlines() if "sim-many" in line
                           and " round_ms " in line)

@@ -180,6 +180,83 @@ class TestSimTrafficCounters:
         assert np.array_equal(fabric.values_per_worker, values)
 
 
+class TestControlPlane:
+    """Control messages cross the fabric as objects; TCP alone frames them."""
+
+    @pytest.mark.parametrize("fabric_cls", [SimFabric, TcpFabric])
+    def test_frames_built_and_parsed_in_a_round(self, fabric_cls, monkeypatch):
+        n, n_dims = 4, 64
+        workers = _quadratic_workers(n, n_dims, 7, c=4)
+        b = symmetrize_bandwidth(np.full((n, n), 5.0))
+        coord = Coordinator(b, 0.0, 3, 23, 4, n_dims)
+        fabric = fabric_cls(workers, b)
+        packed, parsed = [], []  # msg_types; list.append is safe from worker threads
+        pack_frame, parse_frame = wire.pack_frame, wire.parse_frame
+
+        def counting_pack(msg_type, body):
+            packed.append(msg_type)
+            return pack_frame(msg_type, body)
+
+        def counting_parse(data):
+            out = parse_frame(data)
+            parsed.append(out[0])
+            return out
+
+        monkeypatch.setattr(wire, "pack_frame", counting_pack)
+        monkeypatch.setattr(wire, "parse_frame", counting_parse)
+        try:
+            for _ in range(5):
+                packed.clear()
+                parsed.clear()
+                matched = 2 * len(coord.run_round(fabric).pairs)
+                assert matched == n
+                want = [wire.MSG_MODEL_VALUES] * matched
+                if fabric_cls is TcpFabric:  # the control frames leave the process
+                    want += [wire.MSG_ROUND_START] * n + [wire.MSG_ROUND_END] * n
+                assert sorted(packed) == sorted(want)
+                assert sorted(parsed) == sorted(want)
+        finally:
+            fabric.shutdown()
+
+    @pytest.mark.parametrize("fabric_cls", [SimFabric, TcpFabric])
+    def test_queued_report_steers_b_from_the_next_round_on(self, fabric_cls):
+        n, n_dims = 4, 16
+        workers = _quadratic_workers(n, n_dims, 3, c=2)
+        b = symmetrize_bandwidth(np.random.default_rng(3).uniform(1.0, 5.0, size=(n, n)))
+        coord = Coordinator(b, 0.0, 3, 19, 2, n_dims)
+        fabric = fabric_cls(workers, b)
+        received, planned = [], []
+        recv, plan = fabric.recv_from_workers, coord.plan_round
+
+        def recording_recv():
+            received.append(recv())
+            return received[-1]
+
+        def recording_plan():
+            planned.append(coord.b.speeds.copy())
+            return plan()
+
+        fabric.recv_from_workers = recording_recv
+        coord.plan_round = recording_plan
+        try:
+            coord.run_round(fabric)
+            # worker 0 measured its link to 1 slower, and to 2 faster, than configured
+            workers[0].queue_bandwidth_report([(1, 0.5), (2, 9.0)])
+            for _ in range(3):
+                coord.run_round(fabric)
+        finally:
+            fabric.shutdown()
+        reports = [(wid, msg) for wid, msg in received if isinstance(msg, wire.BandwidthReport)]
+        assert reports == [(0, wire.BandwidthReport(0, ((1, 0.5), (2, 9.0))))]
+        want = b.speeds.copy()
+        want[0, 1] = want[1, 0] = 0.5  # min-symmetrised: the slower direction wins
+        assert np.array_equal(coord.b.speeds, want)
+        assert coord.selector.b is coord.b
+        # planned before the report (rounds 0 and 1), then after it (rounds 2 and 3)
+        assert [np.array_equal(p, b.speeds) for p in planned] == [True, True, False, False]
+        assert all(np.array_equal(p, want) for p in planned[2:])
+
+
 class TestSnapshotModels:
     """Each fabric keeps one (n, N) model matrix; the snapshot is a view of it."""
 
@@ -230,8 +307,7 @@ class TestTcpFabricErrors:
         fabric = TcpFabric(workers, b, timeout=5.0)
         try:
             # a ROUND_START for the wrong round makes the worker loop fail
-            bad = wire.encode_round_start(wire.RoundStart(7, 1, None, 0))
-            fabric.send_to_worker(0, bad)
+            fabric.start_round(0, wire.RoundStart(7, 1, None, 0))
             start = time.perf_counter()
             with pytest.raises(TransportError, match="ProtocolError.*expected round 0"):
                 fabric.recv_from_workers()

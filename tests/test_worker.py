@@ -7,7 +7,7 @@ from saps import sparsify, wire
 from saps.analysis import consensus_error
 from saps.coordinator import Coordinator
 from saps.core import SplitMix64, symmetrize_bandwidth
-from saps.errors import NumericalError, ProtocolError
+from saps.errors import NumericalError, ProtocolError, ValidationError
 from saps.objectives import QuadraticObjective, make_quadratic
 from saps.sparsify import generate_mask
 from saps.transport import SimFabric
@@ -141,6 +141,23 @@ class TestRunWorkerRound:
         frame = b.begin_round(wire.RoundStart(0, 2000, 0))
         with pytest.raises(ProtocolError):
             a.finish_round(frame)
+
+
+class TestBandwidthReports:
+    def test_drain_returns_queued_reports_in_order_once(self):
+        w = quad_worker(0, [0.0], [0.0], 0.0)
+        w.queue_bandwidth_report([(1, 2.0)])
+        w.queue_bandwidth_report(iter([(2, 3.0), (3, 4.0)]))
+        assert w.drain_reports() == [[(1, 2.0)], [(2, 3.0), (3, 4.0)]]
+        assert w.drain_reports() == []
+
+    def test_report_too_long_for_its_frame_is_rejected_when_queued(self):
+        # on sim the report is never encoded, so the u16 entry count is checked here
+        w = quad_worker(0, [0.0], [0.0], 0.0)
+        w.queue_bandwidth_report([(1, 1.0)] * wire.MAX_REPORT_ENTRIES)
+        with pytest.raises(ValidationError, match="too many"):
+            w.queue_bandwidth_report([(1, 1.0)] * (wire.MAX_REPORT_ENTRIES + 1))
+        assert len(w.drain_reports()) == 1
 
 
 def build_system(n, n_dims, gamma, c, master_seed, heterogeneity=1.0):
