@@ -4,12 +4,10 @@ from .analysis import (
     RoundRecord,
     SpectralEstimate,
     consensus_error,
-    d_constants,
     estimate_rho,
     export_csv,
     measure_contraction,
     second_eigenvalue,
-    theorem_bound,
 )
 from .cli import ExperimentConfig, ExperimentResult, run_experiment
 from .coordinator import (
@@ -28,7 +26,6 @@ from .core import (
     GossipMatrix,
     Matching,
     SplitMix64,
-    TheoryConstants,
     TimestampMatrix,
     splitmix64_array,
     symmetrize_bandwidth,

@@ -1,8 +1,7 @@
 """Theory verification and run metrics.
 
 Spectral estimation of the mixing factor rho, measurement of the sparsified
-consensus contraction, the consensus/convergence bound constants, bandwidth
-utilisation statistics, and CSV export of per-round records.
+consensus contraction, and CSV export of per-round records.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TheoryConstants
 from .errors import ValidationError
 from .sparsify import generate_mask
 
@@ -143,51 +141,6 @@ def contraction_bound(p: float, rho: float, t_max: int, *, squared: bool = True)
     process provably follows) for t = 0..t_max."""
     factor = (1.0 - p) + p * (rho * rho if squared else rho)
     return factor ** np.arange(t_max + 1)
-
-
-def d_constants(p: float, rho: float) -> tuple[float, float]:
-    """Consensus-bound constants D1 = 2/(1 - sqrt(q + p*rho))^2 and
-    D2 = 2/(1 - (q + p*rho^2))."""
-    if not (0 < p <= 1):
-        raise ValidationError(f"p must be in (0, 1], got {p}")
-    if not (0 <= rho < 1):
-        raise ValidationError(f"rho must be in [0, 1), got {rho}")
-    q = 1.0 - p
-    base1 = 1.0 - math.sqrt(q + p * rho)
-    base2 = 1.0 - (q + p * rho * rho)
-    if base1 <= 0 or base2 <= 0:
-        raise ValidationError("degenerate mixing: q + p*rho reaches 1")
-    return 2.0 / (base1 * base1), 2.0 / base2
-
-
-def theorem_bound(
-    k: TheoryConstants,
-    n: int,
-    t_rounds: int,
-    d1: float,
-    d2: float,
-    x0_consensus: float,
-) -> float:
-    """Closed-form bound on the running average of ||grad f(xbar_t)||^2.
-
-    Four terms: stochastic noise O(1/sqrt(nT)), optimality-gap and mixing
-    O(1/T), heterogeneity O(1/T), and the initial-consensus term, which
-    vanishes when all workers start from the same model.
-    """
-    if k.sigma == 0:
-        raise ValidationError(
-            "sigma must be positive: the bound's step size divides by sigma"
-        )
-    if t_rounds < 1:
-        raise ValidationError("need T >= 1")
-    if x0_consensus < 0:
-        raise ValidationError("x0_consensus is a squared norm and must be >= 0")
-    sigma, zeta, lip, gap = k.sigma, k.zeta, k.lipschitz, k.f0_minus_fstar
-    term1 = (6.0 * sigma * gap + 3.0 * sigma) / (2.0 * math.sqrt(n * t_rounds))
-    term2 = (6.0 * math.sqrt(3.0) * lip * gap + 2.0 * lip**2 * d1 * n) / t_rounds
-    term3 = 3.0 * lip**2 * d1 * n * zeta**2 / (sigma**2 * t_rounds)
-    term4 = 2.0 * lip**2 * d2 * x0_consensus / (n * t_rounds)
-    return term1 + term2 + term3 + term4
 
 
 def _fmt(x: float) -> str:

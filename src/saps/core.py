@@ -288,19 +288,3 @@ class CompressionConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.c, int) or self.c < 1:
             raise ValidationError(f"compression ratio c must be an integer >= 1, got {self.c!r}")
-
-
-@dataclass(frozen=True)
-class TheoryConstants:
-    """Problem constants used only by the convergence-bound evaluator."""
-
-    sigma: float
-    zeta: float
-    lipschitz: float
-    f0_minus_fstar: float
-
-    def __post_init__(self) -> None:
-        for name in ("sigma", "zeta", "lipschitz", "f0_minus_fstar"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValidationError(f"{name} must be a nonnegative real, got {v!r}")

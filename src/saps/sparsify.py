@@ -44,9 +44,9 @@ class MaskStream:
         idx.setflags(write=False)
         return idx
 
-    @property
+    @cached_property
     def count(self) -> int:
-        return int(self.indices.size)
+        return self.n_dims if self.c == 1 else int(self.indices.size)
 
 
 @lru_cache(maxsize=2, typed=True)  # typed: c=2.0 must not hit c=2's entry past the int check
@@ -84,7 +84,7 @@ class SparsePayload:
 
 
 def extract_payload(x: ParameterVector, mask: MaskStream, round: int, sender: int) -> SparsePayload:
-    """The masked values of `x`, copied out of it.
+    """The masked values of `x`, copied out of it; at c = 1 the whole row.
 
     `x` must be finite; this does not check it. `Worker.begin_round` calls
     this right after the SGD step that proved `x` finite, and the receiver's
@@ -92,7 +92,8 @@ def extract_payload(x: ParameterVector, mask: MaskStream, round: int, sender: in
     """
     if x.shape != (mask.n_dims,):
         raise ValidationError(f"model length {x.shape} does not match mask n_dims {mask.n_dims}")
-    return SparsePayload(round, sender, x[mask.indices])  # fancy indexing copies
+    values = x.copy() if mask.c == 1 else x[mask.indices]  # fancy indexing copies too
+    return SparsePayload(round, sender, values)
 
 
 def merge_masked(x: ParameterVector, mask: MaskStream, peer: SparsePayload) -> ParameterVector:
@@ -100,7 +101,8 @@ def merge_masked(x: ParameterVector, mask: MaskStream, peer: SparsePayload) -> P
 
     Returns `x` itself. A count mismatch signals seed desynchronisation
     between the peers; it and non-finite peer values raise before `x` is
-    touched.
+    touched. At c = 1 the mask selects every coordinate, so the average runs
+    over the whole row without indices, bit for bit the same arithmetic.
     """
     if x.shape != (mask.n_dims,):
         raise ValidationError(f"model length {x.shape} does not match mask n_dims {mask.n_dims}")
@@ -111,8 +113,12 @@ def merge_masked(x: ParameterVector, mask: MaskStream, peer: SparsePayload) -> P
         )
     if not np.isfinite(peer.values).all():
         raise ValidationError("peer payload contains non-finite values")
-    idx = mask.indices
-    x[idx] = (x[idx] + peer.values) * 0.5
+    if mask.c == 1:
+        np.add(x, peer.values, out=x)
+        x *= 0.5
+    else:
+        idx = mask.indices
+        x[idx] = (x[idx] + peer.values) * 0.5
     return x
 
 

@@ -25,12 +25,19 @@ encoded frames between them and counts their bytes; the virtual round time
 is the coordinator's (`round_time`, summed into `Coordinator.cum_time`).
 The TCP fabric runs one thread per worker against real sockets on loopback;
 the coordinator starts no thread and reads its n worker links through one
-selector. Model values are bit-identical to the simulation because worker
-arithmetic depends only on seeds and payloads, never on timing.
+selector. A matched pair keeps one peer link for the whole run: the lower
+rank dials it the first time the pair is matched, inside that round, and its
+first frame is a HELLO naming the dialler's rank, which the acceptor checks
+against its assigned peer. The fabric owns every link and closes them all at
+`shutdown`. A run may hold n(n-1) peer-link descriptors, so set-up checks
+the descriptor limit first. Model values are bit-identical to the simulation
+because worker arithmetic depends only on seeds and payloads, never on
+timing.
 """
 
 from __future__ import annotations
 
+import resource
 import selectors
 import socket
 import struct
@@ -147,28 +154,29 @@ class SimFabric:
         pass
 
 
-def _recv_into(sock: socket.socket, view: memoryview) -> None:
+def _recv_into(sock: socket.socket, view: memoryview, link: str) -> None:
     while view:
         got = sock.recv_into(view)
         if not got:
-            raise TransportError("connection closed mid-frame")
+            raise TransportError(f"{link} closed mid-frame")
         view = view[got:]
 
 
-def read_frame(sock: socket.socket, max_payload_len: int) -> bytearray | None:
+def read_frame(sock: socket.socket, max_payload_len: int, link: str = "link") -> bytearray | None:
     """Read one full frame; None on a clean EOF at a frame boundary.
 
     A header declaring more than `max_payload_len` bytes (see
     `wire.max_payload_len`) is a ProtocolError before any body is read; a
-    socket timeout is a TransportError.  The body is received straight into
-    the frame's buffer, which is allocated once from the declared length.
+    socket timeout or error, such as a reset, is a TransportError naming
+    `link`.  The body is received straight into the frame's buffer, which is
+    allocated once from the declared length.
     """
     try:
         head = bytearray(wire.HEADER_LEN)
         got = sock.recv_into(head)
         if not got:
             return None
-        _recv_into(sock, memoryview(head)[got:])
+        _recv_into(sock, memoryview(head)[got:], link)
         (payload_len,) = struct.unpack_from("<I", head, 6)
         if payload_len > max_payload_len:
             raise ProtocolError(
@@ -177,17 +185,19 @@ def read_frame(sock: socket.socket, max_payload_len: int) -> bytearray | None:
             )
         frame = bytearray(wire.HEADER_LEN + payload_len)
         frame[: wire.HEADER_LEN] = head
-        _recv_into(sock, memoryview(frame)[wire.HEADER_LEN :])
+        _recv_into(sock, memoryview(frame)[wire.HEADER_LEN :], link)
         return frame
     except TimeoutError as e:
-        raise TransportError(f"timed out reading a frame: {e}") from e
+        raise TransportError(f"timed out reading a frame on {link}: {e}") from e
+    except OSError as e:
+        raise TransportError(f"reading {link} failed: {e}") from e
 
 
-def send_frame(sock: socket.socket, frame: bytes) -> None:
+def send_frame(sock: socket.socket, frame: bytes, link: str = "link") -> None:
     try:
         sock.sendall(frame)
     except OSError as e:
-        raise TransportError(f"send failed: {e}") from e
+        raise TransportError(f"sending on {link} failed: {e}") from e
 
 
 def _worker_loop(
@@ -195,17 +205,20 @@ def _worker_loop(
     coord: socket.socket,
     listener: socket.socket,
     peer_addrs: dict[int, tuple[str, int]],
-    failures: dict[int, Exception],
+    links: dict[int, socket.socket],
+    failures: list[tuple[int, Exception]],
     timeout: float,
 ) -> None:
     """Serve the coordinator's frames on `coord` until it closes the link.
 
-    A failure is recorded before the link closes, so the coordinator finds it
-    as soon as it reads the EOF.
+    A failure is recorded before any link closes, so the coordinator finds it
+    as soon as it reads an EOF, and a failure caused by this worker's closed
+    peer links is recorded after it. The coordinator link closes first.
     """
     limit = wire.max_payload_len(worker.n_dims)
+    me = f"worker {worker.rank}'s coordinator link"
     try:
-        while (frame := read_frame(coord, limit)) is not None:
+        while (frame := read_frame(coord, limit, me)) is not None:
             msg_type, body = wire.parse_frame(frame)
             if msg_type == wire.MSG_ROUND_START:
                 msg = wire.decode_round_start(body)
@@ -214,22 +227,24 @@ def _worker_loop(
                 if msg.peer_id is not None:
                     assert out is not None
                     peer_frame = _exchange_tcp(
-                        worker.rank, msg.peer_id, out, listener, peer_addrs, timeout, limit
+                        worker.rank, msg.peer_id, out, listener, peer_addrs, links, timeout, limit
                     )
                 ack = worker.finish_round(peer_frame)
                 for entries in worker.drain_reports():
-                    send_frame(coord, wire.encode_bandwidth_report(entries))
-                send_frame(coord, wire.encode_round_end(ack))
+                    send_frame(coord, wire.encode_bandwidth_report(entries), me)
+                send_frame(coord, wire.encode_round_end(ack), me)
             elif msg_type == wire.MSG_MODEL_FULL:
                 if not wire.decode_model_full(body).is_request:
                     raise ProtocolError("worker received a non-request MODEL_FULL")
-                send_frame(coord, worker.model_frame())
+                send_frame(coord, worker.model_frame(), me)
             else:
                 raise ProtocolError(f"worker received unexpected msg_type {msg_type}")
     except Exception as e:
-        failures[worker.rank] = e
+        failures.append((worker.rank, e))
     finally:
         coord.close()
+        for conn in list(links.values()):
+            conn.close()
 
 
 def _exchange_tcp(
@@ -238,36 +253,71 @@ def _exchange_tcp(
     out: bytes,
     listener: socket.socket,
     peer_addrs: dict[int, tuple[str, int]],
+    links: dict[int, socket.socket],
     timeout: float,
     limit: int,
 ) -> bytearray:
-    """Full-duplex payload swap; the lower rank dials, the dialer writes first."""
-    if rank < peer:
-        conn = socket.create_connection(peer_addrs[peer], timeout=timeout)
-        conn.settimeout(timeout)
-        try:
-            send_frame(conn, out)
-            frame = read_frame(conn, limit)
-        finally:
-            conn.close()
-    else:
+    """Full-duplex payload swap on the pair's link; the lower rank writes first.
+
+    The first time the pair is matched, the lower rank dials the link and
+    sends a HELLO naming itself; the higher rank accepts it and checks that
+    HELLO. The link stays in `links` for the rest of the run.
+    """
+    name = f"peer link {min(rank, peer)}-{max(rank, peer)}"
+    conn = links.get(peer)
+    if conn is None and rank < peer:
+        conn = links[peer] = socket.create_connection(peer_addrs[peer], timeout=timeout)
+        # the HELLO and the first payload are two writes before a read
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        send_frame(conn, wire.encode_hello(rank), name)
+    elif conn is None:
         conn, _ = listener.accept()
+        links[peer] = conn
         conn.settimeout(timeout)
-        try:
-            frame = read_frame(conn, limit)
-            send_frame(conn, out)
-        finally:
-            conn.close()
+        hello = read_frame(conn, limit, name)
+        if hello is None:
+            raise TransportError(f"{name} closed before its HELLO")
+        msg_type, body = wire.parse_frame(hello)
+        if msg_type != wire.MSG_HELLO:
+            raise ProtocolError(f"{name} opened with msg_type {msg_type}, not a HELLO")
+        if (dialler := wire.decode_hello(body)) != peer:
+            raise ProtocolError(f"worker {rank}: HELLO on {name} names rank {dialler}")
+    if rank < peer:
+        send_frame(conn, out, name)
+        frame = read_frame(conn, limit, name)
+    else:
+        frame = read_frame(conn, limit, name)
+        send_frame(conn, out, name)
     if frame is None:
-        raise TransportError(f"peer {peer} closed the exchange early")
+        raise TransportError(f"peer {peer} closed {name}")
     return frame
+
+
+def _reserve_descriptors(n: int) -> None:
+    """Let the process hold a run's descriptors, or refuse the run before it starts.
+
+    A run holds up to n(n-1) peer-link ends, 2n coordinator-link ends and n
+    listeners. A soft limit below that is raised, by that many descriptors
+    and within the hard limit; a hard limit below it is a ConfigurationError.
+    """
+    need = n * (n - 1) + 3 * n
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft == resource.RLIM_INFINITY or soft >= need:
+        return
+    if hard != resource.RLIM_INFINITY and hard < need:
+        raise ConfigurationError(
+            f"{n} TCP workers need up to {need} file descriptors; RLIMIT_NOFILE allows {hard}"
+        )
+    target = soft + need if hard == resource.RLIM_INFINITY else min(soft + need, hard)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (target, hard))
 
 
 class TcpFabric:
     """Loopback TCP fabric: one thread per worker, framed streams throughout.
 
-    Each worker thread serves its own coordinator link. The coordinator runs
-    no thread of its own: it reads its n links through one selector, and
+    Each worker thread serves its own coordinator link and its peer links,
+    one per partner it has been matched with so far. The coordinator runs no
+    thread of its own: it reads its n links through one selector, and
     answers a model request from the requested worker's link.
     """
 
@@ -276,11 +326,13 @@ class TcpFabric:
     ) -> None:
         if len(workers) != b.n:
             raise ValidationError("worker count does not match bandwidth matrix")
+        _reserve_descriptors(len(workers))  # before any socket or thread
         self.workers = workers
         self.timeout = timeout
         self._snapshot = _adopt_models(workers)  # before any worker thread starts
         self._max_payload_len = wire.max_payload_len(workers[0].n_dims)
-        self._failures: dict[int, Exception] = {}
+        self._failures: list[tuple[int, Exception]] = []  # (rank, error), as recorded
+        self._links: list[dict[int, socket.socket]] = [{} for _ in workers]  # peer -> link
         self._selector = selectors.DefaultSelector()
 
         host = "127.0.0.1"
@@ -302,7 +354,8 @@ class TcpFabric:
         self._threads = [
             threading.Thread(
                 target=_worker_loop,
-                args=(w, links[w.rank], pl, peer_addrs, self._failures, timeout),
+                args=(w, links[w.rank], pl, peer_addrs, self._links[w.rank], self._failures,
+                      timeout),
                 name=f"saps-worker-{w.rank}",
                 daemon=True,
             )
@@ -312,15 +365,23 @@ class TcpFabric:
             t.start()
 
     def _read(self, wid: int) -> bytearray:
-        """One whole frame from worker `wid`'s link; its failure if the link closed."""
+        """One whole frame from worker `wid`'s link; the root failure if it closed.
+
+        A worker records its failure before it closes any link, so the first
+        failure recorded is the one that closed the others' peer links.
+        """
         try:
-            frame = read_frame(self._conns[wid], self._max_payload_len)
-        except OSError:  # a link reset by its worker's close reads as a close
+            frame = read_frame(
+                self._conns[wid], self._max_payload_len, f"worker {wid}'s coordinator link"
+            )
+        except TransportError:  # a link reset by its worker's close reads as a close
+            if not self._failures:
+                raise
             frame = None
         if frame is None:
-            e = self._failures.get(wid)
-            if e is not None:
-                raise TransportError(f"worker {wid} failed: {e!r}") from e
+            if self._failures:
+                rank, e = self._failures[0]
+                raise TransportError(f"worker {rank} failed: {e!r}") from e
             raise TransportError(f"worker {wid} closed its connection")
         return frame
 
@@ -349,7 +410,8 @@ class TcpFabric:
 
     def shutdown(self) -> None:
         self._selector.close()
-        for sock in [*self._conns.values(), *self._peer_listeners]:
+        peer_links = [conn for links in self._links for conn in list(links.values())]
+        for sock in [*self._conns.values(), *self._peer_listeners, *peer_links]:
             try:  # wakes a worker thread blocked in a read or in accept()
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:

@@ -16,6 +16,7 @@ Body layouts by msg_type:
     3 ROUND_END         round u64, worker_id u32, local_loss f64
     4 MODEL_FULL        count u32, count x f64        (count 0 = request)
     5 BANDWIDTH_REPORT  n_entries u16, n_entries x (peer u32, bytes_per_sec f64)
+    6 HELLO             rank u32   (the dialler's rank; first frame on a peer link)
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ MSG_MODEL_VALUES = 2
 MSG_ROUND_END = 3
 MSG_MODEL_FULL = 4
 MSG_BANDWIDTH_REPORT = 5
+MSG_HELLO = 6
 
 NO_PEER = 0xFFFFFFFF
 MAX_REPORT_ENTRIES = 0xFFFF  # a BANDWIDTH_REPORT counts its entries in a u16
@@ -52,6 +54,7 @@ _ROUND_START = struct.Struct("<QQIB")
 _ROUND_END = struct.Struct("<QId")
 _MODEL_VALUES_HEAD = struct.Struct("<QII")
 _BW_ENTRY = struct.Struct("<Id")
+_U32 = struct.Struct("<I")
 
 
 def max_payload_len(n_dims: int) -> int:
@@ -68,7 +71,8 @@ def max_payload_len(n_dims: int) -> int:
 
 def pack_frame(msg_type: int, body: bytes) -> bytes:
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    return _HEADER.pack(MAGIC, VERSION, msg_type, len(body) + 4) + body + struct.pack("<I", crc)
+    # one join copies the body once, however long it is
+    return b"".join((_HEADER.pack(MAGIC, VERSION, msg_type, len(body) + 4), body, _U32.pack(crc)))
 
 
 def parse_frame(data: bytes) -> tuple[int, bytes]:
@@ -183,3 +187,14 @@ def decode_bandwidth_report(body: bytes, worker_id: int) -> BandwidthReport:
         _BW_ENTRY.unpack_from(body, 2 + k * _BW_ENTRY.size) for k in range(n_entries)
     )
     return BandwidthReport(worker_id, entries)
+
+
+def encode_hello(rank: int) -> bytes:
+    return pack_frame(MSG_HELLO, _U32.pack(rank))
+
+
+def decode_hello(body: bytes) -> int:
+    if len(body) != _U32.size:
+        raise TruncatedFrameError("HELLO body has wrong size")
+    (rank,) = _U32.unpack(body)
+    return rank

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,14 +5,12 @@ from saps.analysis import (
     RoundRecord,
     consensus_error,
     contraction_bound,
-    d_constants,
     estimate_rho,
     export_csv,
     measure_contraction,
     second_eigenvalue,
-    theorem_bound,
 )
-from saps.core import GossipMatrix, Matching, TheoryConstants
+from saps.core import GossipMatrix, Matching
 from saps.errors import ValidationError
 from saps.matching import RingSelector
 from saps.verify import make_adaptive_selector
@@ -152,53 +148,6 @@ class TestMeasureContraction:
         assert stated[1] == pytest.approx(0.5 + 0.5 * 0.16)
         assert unsquared[1] == pytest.approx(0.5 + 0.5 * 0.4)
         assert (unsquared >= stated).all()
-
-
-class TestDConstants:
-    def test_full_mask_perfect_mixing(self):
-        assert d_constants(1.0, 0.0) == (2.0, 2.0)
-
-    def test_no_mixing_rejected(self):
-        with pytest.raises(ValidationError):
-            d_constants(0.0, 0.5)
-
-    def test_closed_form_value(self):
-        p, rho = 0.01, 0.5
-        q = 1 - p
-        d1, d2 = d_constants(p, rho)
-        assert d1 == pytest.approx(2.0 / (1.0 - math.sqrt(q + p * rho)) ** 2, rel=1e-12)
-        assert d2 == pytest.approx(2.0 / (1.0 - (q + p * rho**2)), rel=1e-12)
-        assert d2 == pytest.approx(2.0 / 0.0075, rel=1e-12)
-
-
-class TestTheoremBound:
-    def test_identical_initialization_drops_fourth_term(self):
-        k = TheoryConstants(1.0, 1.0, 1.0, 1.0)
-        with_term = theorem_bound(k, 4, 100, 3.0, 5.0, x0_consensus=2.0)
-        without = theorem_bound(k, 4, 100, 3.0, 5.0, x0_consensus=0.0)
-        assert with_term - without == pytest.approx(2 * 1.0 * 5.0 * 2.0 / (4 * 100), rel=1e-12)
-
-    def test_leading_term_scales_as_inverse_sqrt_t(self):
-        k = TheoryConstants(2.0, 0.0, 0.0, 1.0)  # only the sigma term survives
-        assert theorem_bound(k, 4, 400, 1.0, 1.0, 0.0) == pytest.approx(
-            0.5 * theorem_bound(k, 4, 100, 1.0, 1.0, 0.0), rel=1e-12
-        )
-
-    def test_all_ones_hand_evaluation(self):
-        k = TheoryConstants(1.0, 1.0, 1.0, 1.0)
-        got = theorem_bound(k, 1, 100, 1.0, 1.0, 1.0)
-        want = (
-            (6 * 1 * 1 + 3 * 1) / (2 * math.sqrt(1 * 100))
-            + (6 * math.sqrt(3) * 1 * 1 + 2 * 1 * 1 * 1) / 100
-            + 3 * 1 * 1 * 1 * 1 / (1 * 100)
-            + 2 * 1 * 1 * 1 / (1 * 100)
-        )
-        assert got == pytest.approx(want, rel=1e-15)
-        assert got == pytest.approx(0.6239230484541326, rel=1e-12)
-
-    def test_zero_sigma_rejected(self):
-        with pytest.raises(ValidationError, match="sigma"):
-            theorem_bound(TheoryConstants(0.0, 1.0, 1.0, 1.0), 2, 10, 1.0, 1.0, 0.0)
 
 
 class TestExportCsv:

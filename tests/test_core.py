@@ -9,7 +9,6 @@ from saps.core import (
     GossipMatrix,
     Matching,
     SplitMix64,
-    TheoryConstants,
     TimestampMatrix,
     splitmix64_array,
     symmetrize_bandwidth,
@@ -145,11 +144,6 @@ class TestSmallTypes:
     def test_compression_zero_rejected(self):
         with pytest.raises(ValidationError):
             CompressionConfig(0)
-
-    def test_theory_constants_validated(self):
-        TheoryConstants(1.0, 0.0, 2.0, 3.0)
-        with pytest.raises(ValidationError):
-            TheoryConstants(-1.0, 0.0, 0.0, 0.0)
 
     def test_bandwidth_matrix_rejects_asymmetric(self):
         with pytest.raises(ValidationError):

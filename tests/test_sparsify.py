@@ -224,6 +224,61 @@ class TestExtractMerge:
         assert np.array_equal(x2[keep], x0[keep])
 
 
+def _awkward_pair(rng, n):
+    """Two models of normals spread over 600 decades, with signed zeros and
+    subnormals set at the same coordinates of both, where halving before
+    adding would round differently."""
+    x, y = (rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n) for _ in range(2))
+    at = rng.choice(n, size=6, replace=False)
+    x[at] = [5e-324, -0.0, -0.0, 1e-310, -3e-320, 1e300]
+    y[at] = [5e-324, -0.0, 0.0, 5e-324, 7e-322, -1e300]
+    return x, y
+
+
+class TestDensePath:
+    """At c = 1 every coordinate is selected: extract and merge skip the indices."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extract_and_merge_match_the_gather_formula_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 301
+        x, y = _awkward_pair(rng, n)
+        mask = generate_mask(seed, 1, n)
+        idx = np.arange(n)
+        assert mask.count == n
+        p = extract_payload(x, mask, 3, 1)
+        assert p.values.tobytes() == x[idx].tobytes()
+        peer = decode_payload(encode_payload(extract_payload(y, mask, 3, 2)))  # read-only view
+        want = x.copy()
+        want[idx] = (want[idx] + y) * 0.5
+        assert merge_masked(x, mask, peer) is x
+        assert x.tobytes() == want.tobytes()
+
+    def test_payload_is_a_copy_of_the_row(self):
+        x = np.arange(5.0)
+        p = extract_payload(x, generate_mask(0, 1, 5), 0, 0)
+        assert not np.shares_memory(p.values, x)
+        x[0] = 9.0
+        assert p.values[0] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_peer_value_raises_before_the_model_is_touched(self, bad):
+        x = np.arange(4.0)
+        before = x.tobytes()
+        values = np.ones(4)
+        values[2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            merge_masked(x, generate_mask(0, 1, 4), SparsePayload(0, 1, values))
+        assert x.tobytes() == before
+
+    def test_count_mismatch_raises_before_the_model_is_touched(self):
+        x = np.arange(4.0)
+        before = x.tobytes()
+        with pytest.raises(ProtocolError, match="out of sync"):
+            merge_masked(x, generate_mask(0, 1, 4), SparsePayload(0, 1, np.ones(3)))
+        assert x.tobytes() == before
+
+
 class TestCodec:
     def test_round_trip_thousand_values(self):
         rng = np.random.default_rng(5)

@@ -1,16 +1,24 @@
+import resource
 import socket
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from saps import sparsify, wire
+from saps import sparsify, transport, wire
 from saps.cli import ExperimentConfig, run_experiment
 from saps.coordinator import Coordinator
 from saps.core import Matching, symmetrize_bandwidth
-from saps.errors import ChecksumError, ConfigurationError, ProtocolError, TransportError
+from saps.errors import (
+    ChecksumError,
+    ConfigurationError,
+    ProtocolError,
+    SapsError,
+    TransportError,
+)
 from saps.objectives import QuadraticObjective
 from saps.transport import SimFabric, TcpFabric, read_frame, round_time, send_frame
 from saps.worker import Worker
@@ -204,15 +212,19 @@ class TestControlPlane:
 
         monkeypatch.setattr(wire, "pack_frame", counting_pack)
         monkeypatch.setattr(wire, "parse_frame", counting_parse)
+        linked = set()  # pairs that already hold a peer link
         try:
             for _ in range(5):
                 packed.clear()
                 parsed.clear()
-                matched = 2 * len(coord.run_round(fabric).pairs)
+                pairs = coord.run_round(fabric).pairs
+                matched = 2 * len(pairs)
                 assert matched == n
                 want = [wire.MSG_MODEL_VALUES] * matched
                 if fabric_cls is TcpFabric:  # the control frames leave the process
                     want += [wire.MSG_ROUND_START] * n + [wire.MSG_ROUND_END] * n
+                    want += [wire.MSG_HELLO] * len(set(pairs) - linked)  # first contact
+                    linked |= set(pairs)
                 assert sorted(packed) == sorted(want)
                 assert sorted(parsed) == sorted(want)
         finally:
@@ -362,21 +374,103 @@ class TestTcpFabricErrors:
         """A worker dying mid-run ends the run, teardown included, well inside
         the default 30 s timeout, whichever peer thread it leaves blocked in
         its exchange (its partner may be waiting in accept())."""
-        begin_round = Worker.begin_round
-
         for round_ in (2, 5):
-            def failing(self, msg, round_=round_):
-                if self.rank == rank and msg.round == round_:
-                    raise RuntimeError("injected worker failure")
-                return begin_round(self, msg)
+            _assert_death_ends_run_quickly(monkeypatch, rank, round_)
 
-            monkeypatch.setattr(Worker, "begin_round", failing)
-            cfg = ExperimentConfig(
-                n=4, T=20, c=1, gamma=0.1, N=1000, master_seed=3, transport="tcp"
-            )
-            start = time.perf_counter()
-            with pytest.raises(TransportError, match="injected worker failure"):
-                run_experiment(cfg)
-            assert time.perf_counter() - start < 2.0
-            alive = [t.name for t in threading.enumerate() if t.name.startswith("saps-worker-")]
-            assert not alive
+    def test_dead_worker_whose_partner_holds_a_link_to_it(self, monkeypatch):
+        """The partner reads an EOF or a reset on their persistent link and
+        fails too; the run still reports the dead worker's own failure."""
+        seen = set()
+        for record in run_experiment(replace(_DEAD_WORKER_CONFIG, transport="sim")).records:
+            again = [pair for pair in record.pairs if pair in seen]
+            if again:
+                break
+            seen |= set(record.pairs)
+        assert again, "no pair was matched twice"
+        for rank in again[0]:  # the dialler dies, then the acceptor
+            _assert_death_ends_run_quickly(monkeypatch, rank, record.round)
+
+
+_DEAD_WORKER_CONFIG = ExperimentConfig(
+    n=4, T=20, c=1, gamma=0.1, N=1000, master_seed=3, transport="tcp"
+)
+
+
+def _saps_worker_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("saps-worker-")]
+
+
+def _assert_death_ends_run_quickly(monkeypatch, rank, round_):
+    begin_round = Worker.begin_round
+
+    def failing(self, msg):
+        if self.rank == rank and msg.round == round_:
+            raise RuntimeError("injected worker failure")
+        return begin_round(self, msg)
+
+    monkeypatch.setattr(Worker, "begin_round", failing)
+    start = time.perf_counter()
+    with pytest.raises(TransportError, match="injected worker failure"):
+        run_experiment(_DEAD_WORKER_CONFIG)
+    assert time.perf_counter() - start < 2.0
+    assert not _saps_worker_threads()
+    monkeypatch.setattr(Worker, "begin_round", begin_round)  # the next call wraps the real one
+
+
+class TestPeerLinks:
+    """One link per matched pair for the whole run, opened by a checked HELLO."""
+
+    def test_each_pair_dials_once_per_run(self, monkeypatch):
+        n, n_dims, rounds = 4, 32, 40
+        workers = _quadratic_workers(n, n_dims, 11, c=1)
+        b = symmetrize_bandwidth(np.full((n, n), 5.0))
+        coord = Coordinator(b, 0.0, 3, 29, 1, n_dims)
+        fabric = TcpFabric(workers, b, timeout=5.0)
+        dials = []  # (dialling thread, address); list.append is safe from worker threads
+        create_connection = socket.create_connection
+
+        def counting(address, *args, **kwargs):
+            dials.append((threading.current_thread().name, address))
+            return create_connection(address, *args, **kwargs)
+
+        monkeypatch.setattr(transport.socket, "create_connection", counting)  # after set-up
+        pairs = set()
+        try:
+            for _ in range(rounds):
+                pairs |= set(coord.run_round(fabric).pairs)
+        finally:
+            fabric.shutdown()
+        assert len(dials) == len(pairs) <= n * (n - 1) // 2
+        assert len(set(dials)) == len(dials)
+
+    def test_wrong_rank_hello_ends_the_run(self, monkeypatch):
+        honest = wire.encode_hello
+        monkeypatch.setattr(wire, "encode_hello", lambda rank: honest(99))
+        start = time.perf_counter()
+        with pytest.raises(SapsError, match="names rank 99"):
+            run_experiment(replace(_DEAD_WORKER_CONFIG, T=5))
+        assert time.perf_counter() - start < 2.0
+        assert not _saps_worker_threads()
+
+    def test_soft_descriptor_limit_raised_within_the_hard_limit(self, monkeypatch):
+        n = 4  # 12 peer-link ends, 8 coordinator-link ends, 4 listeners
+        calls = []
+        monkeypatch.setattr(transport.resource, "getrlimit", lambda which: (20, 10_000))
+        monkeypatch.setattr(transport.resource, "setrlimit",
+                            lambda which, limits: calls.append((which, limits)))
+        fabric = TcpFabric(_quadratic_workers(n, 8, 12), symmetrize_bandwidth(np.full((n, n), 5.0)))
+        fabric.shutdown()
+        assert calls == [(resource.RLIMIT_NOFILE, (20 + 24, 10_000))]
+
+    def test_too_low_hard_limit_refused_before_any_socket_or_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("set-up opened a socket before checking the limit")
+
+        n = 4
+        monkeypatch.setattr(transport.resource, "getrlimit", lambda which: (20, 23))
+        monkeypatch.setattr(transport.resource, "setrlimit", refuse)
+        monkeypatch.setattr(transport.socket, "create_server", refuse)
+        monkeypatch.setattr(transport.socket, "create_connection", refuse)
+        with pytest.raises(ConfigurationError, match="need up to 24 file descriptors"):
+            TcpFabric(_quadratic_workers(n, 8, 12), symmetrize_bandwidth(np.full((n, n), 5.0)))
+        assert not _saps_worker_threads()
